@@ -4,12 +4,15 @@ The reference's only checkpoint is its committed output JSON, re-parsed into
 a URL-seen set on the next run — resume re-fetches every page. Here each
 wave persists, under an ATOMIC manifest (write-tmp-then-rename):
 
-* ``frontier_in.parquet`` / ``next_frontier.parquet`` — the exact frontier
-  fed into / produced by the wave;
-* ``fetch_log.parquet`` — lineage of what was fetched this wave (seq, url,
-  host, site, virtual release time);
-* ``docs.parquet`` — the wave's accepted article rows (a partitioned,
-  resumable output layout: one directory per wave);
+* ``rows/`` — the wave's materialized output, written ONCE: its fetch-log
+  rows (seq, url, host, site, virtual release time) unchanged, plus its
+  doc, next-page and two-hop frontier rows minus the seqs retracted at the
+  wave barrier. Restore derives the docs, the fetch log and the next
+  frontier from it with the rowkind views the live wave uses
+  (``pipeline.keep_docs`` / ``flog_rows`` / ``to_frontier``);
+* ``frontier_in.parquet`` — wave 0 only: the driver-side seed frontier
+  (every later wave's input is the previous wave's next rows, already in
+  that wave's ``rows/``);
 * ``seen/shard_*.json`` — INCREMENTAL dumps of every seen-set shard: only
   the keys inserted since the previous completed wave (the manifest tracks
   per-shard log offsets), so checkpoint bytes per wave ∝ new URLs, not
@@ -21,7 +24,10 @@ Crash safety: a wave directory is cleared before being re-written if the
 manifest does not list the wave as completed (a crash mid-write must not
 leave partial parquet files that a rerun would append to), and the manifest
 records the shard counts + key-routing version so a resume with a different
-topology fails loudly instead of silently dropping shard state.
+topology fails loudly instead of silently dropping shard state. It also
+records the layout version and every completed wave's row count: restore
+refuses another layout, and a wave whose ``rows/`` files do not hold the
+recorded count (missing files would otherwise read as an empty wave).
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import ray
 import ray.data
 
 ROUTING_VERSION = "blake2b64-mod"  # shard_of(key) routing; must match on resume
+LAYOUT_VERSION = "rows-v1"  # one rows/ dataset per wave; must match on resume
 
 
 def _wave_dir(root: str, wave: int) -> str:
@@ -57,56 +64,34 @@ def _load_manifest(root: str) -> dict:
     return {"completed_waves": []}
 
 
-def _write_obj(d: str, obj, name: str) -> None:
-    if isinstance(obj, pa.Table):
-        pq.write_table(obj, os.path.join(d, f"{name}.parquet"))
-    else:  # parallel partitioned write straight from the object store
-        obj.write_parquet(os.path.join(d, name))
+def _rows_files(root: str, wave: int) -> list[str]:
+    d = os.path.join(_wave_dir(root, wave), "rows")
+    if not os.path.isdir(d):
+        return []
+    return sorted(os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet"))
 
 
-def _obj_path(d: str, name: str) -> str | None:
-    """Concrete on-disk location of a checkpointed object (single parquet
-    file for Table writes, a non-empty directory for Dataset writes), or
-    None when nothing readable was written (an empty wave)."""
-    f = os.path.join(d, f"{name}.parquet")
-    if os.path.exists(f):
-        return f
-    p = os.path.join(d, name)
-    if os.path.isdir(p) and any(
-        fn.endswith(".parquet") for fn in os.listdir(p)
-    ):
-        return p
-    return None
+def _num_rows(files: list[str]) -> int:
+    return sum(pq.ParquetFile(f).metadata.num_rows for f in files)
 
 
-def _read_obj(d: str, name: str, schema: pa.Schema | None = None) -> pa.Table:
-    f = os.path.join(d, f"{name}.parquet")
-    path = f if os.path.exists(f) else os.path.join(d, name)
-    try:
-        t = pq.read_table(path)
-    except (OSError, pa.ArrowInvalid):
-        if schema is None:
-            raise
-        return pa.Table.from_pydict({n: [] for n in schema.names}, schema=schema)
-    return t.cast(schema) if schema is not None and t.num_rows == 0 else t
-
-
-def write_frontier_in(root: str, wave: int, frontier) -> None:
+def write_frontier_in(root: str, wave: int, frontier: pa.Table | None) -> None:
+    """Open a wave's checkpoint directory. Only wave 0 persists its input
+    frontier (the driver-side seed table); restore never reads it."""
     d = _wave_dir(root, wave)
     # a wave dir that exists but is NOT in the manifest is a crashed attempt:
     # clear it so the rerun cannot read duplicated partial files
     if os.path.isdir(d) and wave not in _load_manifest(root).get("completed_waves", []):
         shutil.rmtree(d)
     os.makedirs(d, exist_ok=True)
-    _write_obj(d, frontier, "frontier_in")
+    if wave == 0 and frontier is not None:
+        pq.write_table(frontier, os.path.join(d, "frontier_in.parquet"))
 
 
 def write_wave(
     root: str,
     wave: int,
-    docs,  # pa.Table or ray.data.Dataset (docs stay distributed per wave)
-    next_frontier: pa.Table,
-    fetch_log,  # pa.Table or ray.data.Dataset
+    rows: ray.data.Dataset,  # pipeline.checkpoint_rows over the materialized wave
     seen_shards: list,
     schedulers: list,
     metrics: dict,
@@ -122,12 +107,6 @@ def write_wave(
             "resume via checkpoint.restore (CrawlPipeline does this "
             "automatically when checkpoint_dir is set) instead of re-running"
         )
-    d = _wave_dir(root, wave)
-    os.makedirs(os.path.join(d, "seen"), exist_ok=True)
-    _write_obj(d, docs, "docs")
-    _write_obj(d, next_frontier, "next_frontier")
-    _write_obj(d, fetch_log, "fetch_log")
-
     prev_offsets = manifest.get("seen_log_offsets", [0] * len(seen_shards))
     if len(prev_offsets) != len(seen_shards):
         raise ValueError(
@@ -145,6 +124,9 @@ def write_wave(
             f"shard logs (shards {ahead}): the pipeline was not restored from "
             "this checkpoint — call checkpoint.restore first or use a fresh dir"
         )
+    d = _wave_dir(root, wave)
+    os.makedirs(os.path.join(d, "seen"), exist_ok=True)
+    rows.write_parquet(os.path.join(d, "rows"))  # straight from the object store
     deltas = ray.get(
         [s.dump_since.remote(prev_offsets[i]) for i, s in enumerate(seen_shards)]
     )
@@ -154,14 +136,15 @@ def write_wave(
     _atomic_json(os.path.join(d, "sched.json"), sched)
     _atomic_json(os.path.join(d, "metrics.json"), metrics)
     # manifest last — a wave is complete only once the manifest says so
+    manifest["layout"] = LAYOUT_VERSION
     manifest["n_seen_shards"] = len(seen_shards)
     manifest["n_sched_shards"] = len(schedulers)
     manifest["routing"] = ROUTING_VERSION
     manifest["seen_log_offsets"] = [
         prev_offsets[i] + len(deltas[i]) for i in range(len(seen_shards))
     ]
-    if wave not in manifest["completed_waves"]:
-        manifest["completed_waves"].append(wave)
+    manifest.setdefault("wave_rows", {})[str(wave)] = _num_rows(_rows_files(root, wave))
+    manifest.setdefault("completed_waves", []).append(wave)
     _atomic_json(os.path.join(root, "manifest.json"), manifest)
 
 
@@ -181,17 +164,21 @@ def repair_wave_metrics(root: str, wave_metrics: list[dict]) -> None:
 
 def restore(pipeline, root: str) -> bool:
     """Rehydrate a CrawlPipeline from the last completed wave. Returns True
-    if there was state to restore. Refuses a topology mismatch (shard counts
-    / key routing) — positional restore into a different shard layout would
-    silently route keys to shards the lookup never consults."""
-    manifest_path = os.path.join(root, "manifest.json")
-    if not os.path.exists(manifest_path):
-        return False
-    with open(manifest_path) as f:
-        manifest = json.load(f)
+    if there was state to restore. Refuses another checkpoint layout, a
+    wave whose rows files do not hold its recorded row count, and a
+    topology mismatch (shard counts / key routing) — positional restore
+    into a different shard layout would silently route keys to shards the
+    lookup never consults."""
+    manifest = _load_manifest(root)
     waves = sorted(manifest.get("completed_waves", []))
     if not waves:
         return False
+    layout = manifest.get("layout", "docs/next_frontier/fetch_log")
+    if layout != LAYOUT_VERSION:
+        raise ValueError(
+            f"checkpoint at {root} has layout {layout!r}, this version reads "
+            f"{LAYOUT_VERSION!r} — re-crawl into a fresh checkpoint dir"
+        )
     n_seen = manifest.get("n_seen_shards", len(pipeline.seen_shards))
     n_sched = manifest.get("n_sched_shards", len(pipeline.schedulers))
     routing = manifest.get("routing", ROUTING_VERSION)
@@ -205,37 +192,35 @@ def restore(pipeline, root: str) -> bool:
         raise ValueError(
             f"checkpoint key-routing version {routing!r} != {ROUTING_VERSION!r}"
         )
-    last = waves[-1]
+    from .pipeline import (
+        FRONTIER_COLS, FRONTIER_SCHEMA, WAVE_SCHEMA, flog_rows, keep_docs, to_frontier,
+    )
+
     # accumulated docs + fetch logs from all completed waves (lineage
     # replay) as DATASETS over the checkpoint parquet — a resumed run must
     # not load the whole accumulated corpus onto the driver (VERDICT r2 #4);
     # per-wave seen-set DELTAS replay in wave order
-    from .pipeline import WAVE_SCHEMA
-
     for w in waves:
-        d = _wave_dir(root, w)
-        docs_path = _obj_path(d, "docs")
-        if docs_path is None:
-            pipeline.doc_tables.append(
-                pa.Table.from_pydict(
-                    {n: [] for n in WAVE_SCHEMA.names}, schema=WAVE_SCHEMA
-                )
+        files = _rows_files(root, w)
+        n, want = _num_rows(files), manifest.get("wave_rows", {}).get(str(w))
+        if n != want:
+            raise ValueError(
+                f"checkpoint wave {w} at {root}: rows files hold {n} rows, the "
+                f"manifest records {want} — the checkpoint is damaged"
             )
-        else:
-            pipeline.doc_tables.append(ray.data.read_parquet(docs_path))
+        if files:
+            rows = ray.data.read_parquet(files)
+            pipeline.doc_tables.append(rows.map_batches(keep_docs, batch_format="pyarrow"))
+            pipeline.fetch_logs.append(
+                rows.map_batches(flog_rows, batch_format="pyarrow", fn_kwargs={"wave": w})
+            )
             # finalize_streaming re-pushes these waves' fuzzy projections
             # with a distributed pruned read over the same files
-            pipeline._restored_doc_paths.append(docs_path)
-        flog_path = _obj_path(d, "fetch_log")
-        if flog_path is None:
-            pipeline.fetch_logs.append(
-                pa.Table.from_pydict(
-                    {n: [] for n in pipeline.FLOG_W_SCHEMA.names},
-                    schema=pipeline.FLOG_W_SCHEMA,
-                )
-            )
-        else:
-            pipeline.fetch_logs.append(ray.data.read_parquet(flog_path))
+            pipeline._restored_row_files.extend(files)
+        else:  # an empty wave
+            pipeline.doc_tables.append(WAVE_SCHEMA.empty_table())
+            pipeline.fetch_logs.append(pipeline.FLOG_W_SCHEMA.empty_table())
+        d = _wave_dir(root, w)
         with open(os.path.join(d, "metrics.json")) as f:
             pipeline.wave_metrics.append(json.load(f))
         futs = []
@@ -246,16 +231,25 @@ def restore(pipeline, root: str) -> bool:
             if keys:
                 futs.append(shard.restore.remote(keys))
         ray.get(futs)
-    d = _wave_dir(root, last)
-    with open(os.path.join(d, "sched.json")) as f:
+    last = waves[-1]
+    with open(os.path.join(_wave_dir(root, last), "sched.json")) as f:
         sched = json.load(f)
     ray.get(
         [s.restore.remote(state) for s, state in zip(pipeline.schedulers, sched)]
     )
-    from .pipeline import FRONTIER_SCHEMA
-
-    nxt = _read_obj(d, "next_frontier", schema=FRONTIER_SCHEMA)
+    # the next frontier: a pruned driver read of the last wave's rows (its
+    # next/frontier rows are metadata-sized; no Ray execution)
+    files = _rows_files(root, last)
+    cols = ["rowkind", *(c for c in FRONTIER_COLS if c != "kind")]
+    pipeline._frontier0 = (
+        to_frontier(
+            pq.read_table(
+                files, columns=cols, filters=[("rowkind", "in", ["next", "frontier"])]
+            )
+        )
+        if files
+        else FRONTIER_SCHEMA.empty_table()
+    )
     pipeline.start_wave = last + 1
-    pipeline._frontier0 = nxt
     pipeline._restored = True  # CrawlPipeline.run skips its auto-restore
     return True

@@ -549,12 +549,47 @@ def make_stripe(k: int):
     return stripe
 
 
-def keep_rowkind(kind: str):
-    def fn(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["rowkind"], kind))
+# -- rowkind views of one materialized wave ---------------------------------
+# The live wave (run_wave) and checkpoint restore derive docs, the fetch log
+# and the next frontier from a wave's rows with these same batch functions;
+# ``drop`` is the wave's retracted-seq set (None once rows are checkpointed,
+# which already excludes it).
 
-    fn.__name__ = f"keep_{kind}"
-    return fn
+
+def drop_retracted(b: pa.Table, drop: pa.Array | None = None) -> pa.Table:
+    if drop is None or b.num_rows == 0:
+        return b
+    return b.filter(pc.invert(pc.is_in(b["discovered_seq"], value_set=drop)))
+
+
+def keep_docs(b: pa.Table, drop: pa.Array | None = None) -> pa.Table:
+    return drop_retracted(b.filter(pc.equal(b["rowkind"], "doc")), drop)
+
+
+def flog_rows(b: pa.Table, wave: int) -> pa.Table:
+    t = b.filter(pc.equal(b["rowkind"], "flog")).select(FETCH_LOG_SCHEMA.names)
+    return t.append_column("wave", pa.array([wave] * t.num_rows, pa.int32()))
+
+
+def to_frontier(b: pa.Table, drop: pa.Array | None = None) -> pa.Table:
+    b = b.filter(pc.is_in(b["rowkind"], value_set=pa.array(["next", "frontier"])))
+    b = drop_retracted(b, drop)
+    kind = pc.if_else(
+        pc.equal(b["rowkind"], "next"), pa.scalar("listing"), pa.scalar("article")
+    )
+    return b.append_column("kind", kind).select(FRONTIER_COLS).cast(FRONTIER_SCHEMA)
+
+
+def checkpoint_rows(b: pa.Table, drop: pa.Array | None = None) -> pa.Table:
+    """A wave's checkpointed rows: flog rows unchanged, every other rowkind
+    (doc / next / frontier) minus the retracted seqs."""
+    if drop is None or b.num_rows == 0:
+        return b
+    keep = pc.or_(
+        pc.equal(b["rowkind"], "flog"),
+        pc.invert(pc.is_in(b["discovered_seq"], value_set=drop)),
+    )
+    return b.filter(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -625,17 +660,16 @@ class CrawlPipeline:
         }
         self.retracted_seqs: set[int] = set()
         self.wave_metrics: list[dict] = []
-        self.stage_times: list[dict] = []
         self.fetch_logs: list[pa.Table] = []
         self.doc_tables: list[pa.Table] = []
         self.start_wave = 0
         self._frontier0: pa.Table | None = None
         self._restored = False
         self._bootstrapped = False
-        # parquet paths of checkpoint-restored wave docs: their fuzzy
+        # rows files of checkpoint-restored waves: their docs' fuzzy
         # projections re-push via a DISTRIBUTED pruned read in
         # finalize_streaming (never a driver loop over wave tables)
-        self._restored_doc_paths: list[str] = []
+        self._restored_row_files: list[str] = []
 
     def dump_seen(self) -> tuple[set, set]:
         """(url_seen, title_seen) as (site, value) tuples — for equality
@@ -699,11 +733,13 @@ class CrawlPipeline:
     # -- one wave -----------------------------------------------------------
 
     def run_wave(self, wave: int, frontier: ray.data.Dataset, n_est: int | None = None):
-        """Returns (docs_ds, next_frontier_ds, flog_ds, n_retracted). All
-        three outputs are DISTRIBUTED datasets over the wave's two
-        materialized executions — article rows, fetch-log rows and the next
-        frontier never aggregate on the driver (the driver sees counts and
-        the tiny title-retraction set; per-wave driver state is O(hosts)).
+        """Returns (docs_ds, next_frontier_ds, flog_ds, rows_ds,
+        n_retracted). All four outputs are DISTRIBUTED rowkind views over
+        the wave's one materialized execution — article rows, fetch-log
+        rows and the next frontier never aggregate on the driver (the
+        driver sees counts and the tiny title-retraction set; per-wave
+        driver state is O(hosts)). ``rows_ds`` is what the wave checkpoints
+        (checkpoint.write_wave); restore rebuilds the other three from it.
 
         ONE fused heavy streaming execution per wave, ZERO candidate
         shuffles: schedule (groupby host — the one unavoidable exchange,
@@ -729,13 +765,10 @@ class CrawlPipeline:
         The next frontier (filter + relabel of pagination and two-hop
         rows) stays a lazy, metadata-sized plan over the wave's blocks.
         """
-        import time as _time
-
         cfg = self.cfg
         wp, policy = cfg.web_params, cfg.policy
         metrics = self.metrics
         ray.get([sh.begin_wave.remote() for sh in self.seen_shards])
-        _t0 = _time.time()
 
         # block count adapted to the wave's size: splitting a 5-row late-wave
         # frontier into 16 blocks manufactures schemaless EMPTY blocks that
@@ -885,10 +918,6 @@ class CrawlPipeline:
             .map_batches(gate_claim_finalize, batch_format="pyarrow")
             .materialize()  # wave barrier: claims + finalize durable
         )
-        _tA = _time.time()
-        _tB = _tA  # fused protocol: no second execution
-
-        self._last_parsed, self._last_done = parsed, parsed  # bench diagnostics
         # retraction sets, both O(same-wave key collisions), tiny:
         # URL claims overtaken by a lower seq, then the deferred title
         # contention resolved against them (two RPC rounds, driver sees
@@ -902,54 +931,24 @@ class CrawlPipeline:
         ):
             retracted.update(seqs)
         self.retracted_seqs.update(retracted)
-        drop_ref = (
-            ray.put(pa.array(sorted(retracted), pa.int64())) if retracted else None
+        drop = pa.array(sorted(retracted), pa.int64()) if retracted else None
+
+        # every view stays LAZY over the wave's materialized blocks: the
+        # next frontier's filters execute inside the NEXT wave's exec A
+        # plan — no per-wave control materialize, no extra execution ramp.
+        # The driver's loop uses the metrics counters as a safe
+        # OVER-estimate of its row count (an extra empty wave is a no-op;
+        # see run()).
+        def view(fn, **kw):
+            return parsed.map_batches(fn, batch_format="pyarrow", fn_kwargs=kw)
+
+        return (
+            view(keep_docs, drop=drop),
+            view(to_frontier, drop=drop),
+            view(flog_rows, wave=wave),
+            view(checkpoint_rows, drop=drop),
+            len(retracted),
         )
-
-        def drop_retracted(b: pa.Table) -> pa.Table:
-            if drop_ref is None or b.num_rows == 0:
-                return b
-            mask = pc.is_in(b["discovered_seq"], value_set=ray.get(drop_ref))
-            return b.filter(pc.invert(mask))
-
-        def to_frontier(b: pa.Table) -> pa.Table:
-            b = b.filter(
-                pc.is_in(b["rowkind"], value_set=pa.array(["next", "frontier"]))
-            )
-            b = drop_retracted(b)
-            kind = pc.if_else(
-                pc.equal(b["rowkind"], "next"),
-                pa.scalar("listing"),
-                pa.scalar("article"),
-            )
-            b = b.append_column("kind", kind)
-            return b.select(FRONTIER_COLS).cast(FRONTIER_SCHEMA)
-
-        # the next frontier stays LAZY: these filters execute inside the
-        # NEXT wave's exec A plan (over this wave's materialized parents) —
-        # no per-wave control materialize, no extra execution ramp. The
-        # driver's loop uses the metrics counters as a safe OVER-estimate of
-        # the row count (an extra empty wave is a no-op; see run()).
-        nxt = parsed.map_batches(to_frontier, batch_format="pyarrow")
-
-        def flog_rows(b: pa.Table) -> pa.Table:
-            t = b.filter(pc.equal(b["rowkind"], "flog")).select(FETCH_LOG_SCHEMA.names)
-            return t.append_column("wave", pa.array([wave] * t.num_rows, pa.int32()))
-
-        flog_ds = parsed.map_batches(flog_rows, batch_format="pyarrow")
-
-        def keep_docs(b: pa.Table) -> pa.Table:
-            return drop_retracted(b.filter(pc.equal(b["rowkind"], "doc")))
-
-        docs_ds = parsed.map_batches(keep_docs, batch_format="pyarrow")
-        # per-execution wall times for bench diagnostics (exec A, exec B,
-        # frontier assembly) — driver-side floats only
-        self.stage_times.append(
-            {"wave": wave, "exec_a": round(_tA - _t0, 3),
-             "exec_b": round(_tB - _tA, 3),
-             "frontier": round(_time.time() - _tB, 3)}
-        )
-        return docs_ds, nxt, flog_ds, len(retracted)
 
     # -- full run -------------------------------------------------------------
 
@@ -982,16 +981,19 @@ class CrawlPipeline:
             self._bootstrapped = True
         if frontier is None:
             frontier = self._frontier0 if self._frontier0 is not None else self.seed_frontier()
-        if isinstance(frontier, pa.Table):
-            n_frontier = frontier.num_rows
-            frontier = ray.data.from_arrow(frontier)
+        seed = frontier if isinstance(frontier, pa.Table) else None
+        if seed is not None:
+            n_frontier = seed.num_rows
+            frontier = ray.data.from_arrow(seed)
         else:
             n_frontier = frontier.count()
         wave = self.start_wave
         while n_frontier > 0 and wave < cfg.policy.max_waves:
             if cfg.checkpoint_dir:
-                ckpt.write_frontier_in(cfg.checkpoint_dir, wave, frontier)
-            docs, nxt, flog, n_retracted = self.run_wave(wave, frontier, n_est=n_frontier)
+                ckpt.write_frontier_in(cfg.checkpoint_dir, wave, seed)
+            docs, nxt, flog, rows, n_retracted = self.run_wave(
+                wave, frontier, n_est=n_frontier
+            )
             self.doc_tables.append(docs)
             self.fetch_logs.append(flog)
             totals = ray.get(self.metrics.wave_totals.remote(wave))
@@ -1021,7 +1023,7 @@ class CrawlPipeline:
             )
             if cfg.checkpoint_dir:
                 ckpt.write_wave(
-                    cfg.checkpoint_dir, wave, docs, nxt, flog,
+                    cfg.checkpoint_dir, wave, rows,
                     self.seen_shards, self.schedulers, self.wave_metrics[-1],
                 )
             frontier = nxt
@@ -1109,40 +1111,40 @@ class CrawlPipeline:
         filter applies inside the one finalize execution. This replaces a
         ``groupby(site).map_groups`` formulation whose sort/exchange
         machinery cost ~11 s of pure overhead at bench scale for ~3 s of
-        actual work. Nothing row-shaped ever reaches the driver."""
+        actual work.
+
+        The articles are materialized ONCE, in the object store (never
+        collected to the driver): the two sinks consume them three times
+        (fingerprint, documents write, day-grouped export), and a lazy
+        result would re-run the final filter over every wave's docs — and
+        re-read restored checkpoint files — on each pass. ``documents_ds``
+        is a lazy span pivot over those blocks."""
         import time as _time
 
         _t0 = _time.time()
         fuzzy_sites = self._fuzzy_sites
         doc_ds_list = [
-            t if not isinstance(t, pa.Table) else ray.data.from_arrow(t)
+            ray.data.from_arrow(t) if isinstance(t, pa.Table) else t
             for t in self.doc_tables
-        ]
-        if not doc_ds_list:
-            empty = ray.data.from_arrow(
-                pa.Table.from_pydict(_empty_wave_dict(), schema=WAVE_SCHEMA)
-            )
-            doc_ds_list = [empty]
+        ] or [ray.data.from_arrow(WAVE_SCHEMA.empty_table())]
         docs_ds = doc_ds_list[0]
         for d in doc_ds_list[1:]:
             docs_ds = docs_ds.union(d)
-        # docs_ds stays LAZY: its per-wave parents are already materialized,
-        # so each finalize pass re-runs only cheap rowkind filters — no full
-        # doc-block rewrite, one fewer execution ramp.
-        self._docs_ds_final = docs_ds  # bench diagnostics
 
         kept_refs: list = []
         if self.fuzzy_bufs:
             # waves restored from a checkpoint never ran their stages here,
             # so their projections aren't in the buffers yet: re-push them
-            # with a DISTRIBUTED pruned read over the checkpoint parquet
-            # (3 narrow columns, map_batches pushes straight to the site
-            # buffers — no wave table ever lands on the driver); the scan's
-            # same-seq skip makes a repeated finalize idempotent
-            if self._restored_doc_paths:
+            # with a DISTRIBUTED pruned read over the checkpoint rows files
+            # (4 narrow columns, doc rows only; map_batches pushes straight
+            # to the site buffers — no wave table ever lands on the
+            # driver); the scan's same-seq skip makes a repeated finalize
+            # idempotent
+            if self._restored_row_files:
                 bufs = self.fuzzy_bufs
 
                 def push_restored(b: pa.Table) -> pa.Table:
+                    b = b.filter(pc.equal(b["rowkind"], "doc"))
                     refs = []
                     for site, buf in bufs.items():
                         sub = b.filter(pc.equal(b["site"], site))
@@ -1154,29 +1156,14 @@ class CrawlPipeline:
                         {"n": pa.array([b.num_rows], pa.int64())}
                     )
 
-                # a checkpointed wave written as a Dataset is a DIRECTORY of
-                # parquet files; read_parquet with an explicit path LIST
-                # opens each entry as a file, so expand dirs here
-                import os as _os
-
-                flat_paths = []
-                for p in self._restored_doc_paths:
-                    if _os.path.isdir(p):
-                        flat_paths.extend(
-                            sorted(
-                                _os.path.join(p, f)
-                                for f in _os.listdir(p)
-                                if f.endswith(".parquet")
-                            )
-                        )
-                    else:
-                        flat_paths.append(p)
                 (
-                    ray.data.read_parquet(flat_paths, columns=FUZZY_PROJ_COLS)
+                    ray.data.read_parquet(
+                        self._restored_row_files, columns=["rowkind", *FUZZY_PROJ_COLS]
+                    )
                     .map_batches(push_restored, batch_format="pyarrow")
                     .sum("n")  # execution barrier; driver sees one int
                 )
-                self._restored_doc_paths = []
+                self._restored_row_files = []
             # also accept plain driver-side tables (test paths append them)
             extras = []
             for t in self.doc_tables:
@@ -1206,7 +1193,7 @@ class CrawlPipeline:
                     b = b.filter(pc.or_(pc.invert(is_f), ok))
             return b.select(ARTICLE_COLS).cast(ARTS_SCHEMA)
 
-        arts_ds = docs_ds.map_batches(final_filter, batch_format="pyarrow")
+        arts_ds = docs_ds.map_batches(final_filter, batch_format="pyarrow").materialize()
         _hs = {s: c.has_summary for s, c in SITES.items()}  # driver snapshot
         documents_ds = arts_ds.map_batches(
             lambda b, hs=_hs: _spans_batch(b, hs), batch_format="pyarrow"

@@ -318,10 +318,9 @@ class SeenShard:
 def make_seen_pool(
     n_shards: int, capacity_per_shard: int = 1 << 16, num_cpus: float = 0.0
 ) -> list:
-    """Shard actors reserve a small CPU fraction so the cluster's task
-    slots honestly pay for the seen-set's compute at every cluster size
-    (shard count scales with the cluster, so the reserved fraction is
-    proportional — the scaling measurement stays apples-to-apples)."""
+    """Shard actors reserve no CPU by default (``num_cpus=0``, like the
+    other state actors): a fractional reservation quantizes away whole task
+    slots at small cluster sizes. Pass ``num_cpus`` to reserve a share."""
     return [
         SeenShard.options(num_cpus=num_cpus).remote(i, capacity_per_shard)
         for i in range(n_shards)

@@ -72,16 +72,18 @@ def test_wave_checkpoint_layout(ray_session):
             )
         )
         pipe.run()
-        assert os.path.exists(os.path.join(root, "manifest.json"))
-        w0 = os.path.join(root, "wave_000")
-        for f in ("sched.json", "metrics.json"):
-            assert os.path.exists(os.path.join(w0, f)), f
-        # datasets: single file (small/table writes) or partitioned directory
-        for name in ("frontier_in", "next_frontier", "docs", "fetch_log"):
-            assert os.path.exists(os.path.join(w0, f"{name}.parquet")) or os.path.isdir(
-                os.path.join(w0, name)
-            ), name
-        assert os.path.exists(os.path.join(w0, "seen", "shard_0.json"))
+        manifest = json.load(open(os.path.join(root, "manifest.json")))
+        assert manifest["layout"] == ckpt.LAYOUT_VERSION
+        waves = manifest["completed_waves"]
+        assert len(waves) >= 2
+        for w in waves:
+            d = os.path.join(root, f"wave_{w:03d}")
+            # one rows dataset per wave, no per-consumer copies
+            assert set(os.listdir(d)) == {"rows", "seen", "sched.json", "metrics.json"} | (
+                {"frontier_in.parquet"} if w == 0 else set()
+            ), (w, os.listdir(d))
+            assert os.path.exists(os.path.join(d, "seen", "shard_0.json"))
+            assert manifest["wave_rows"][str(w)] == ckpt._num_rows(ckpt._rows_files(root, w)) > 0
 
 
 def test_crashed_wave_attempt_cleared_on_rerun(tmp_path):
@@ -93,17 +95,17 @@ def test_crashed_wave_attempt_cleared_on_rerun(tmp_path):
     from newsray import checkpoint as ckpt
 
     root = str(tmp_path)
-    d = os.path.join(root, "wave_003")
-    os.makedirs(d)
-    leftover = os.path.join(d, "docs")
-    os.makedirs(leftover)
-    with open(os.path.join(leftover, "partial-uuid.parquet"), "w") as f:
-        f.write("garbage from a crashed attempt")
     frontier = pa.table({"canon_url": ["http://a.test/x"]})
-    ckpt.write_frontier_in(root, 3, frontier)
-    # the crashed attempt is gone; only the fresh frontier_in exists
-    assert not os.path.exists(os.path.join(leftover, "partial-uuid.parquet"))
-    assert os.path.exists(os.path.join(d, "frontier_in.parquet"))
+    for w in (0, 3):
+        d = os.path.join(root, f"wave_{w:03d}")
+        leftover = os.path.join(d, "rows")
+        os.makedirs(leftover)
+        with open(os.path.join(leftover, "partial-uuid.parquet"), "w") as f:
+            f.write("garbage from a crashed attempt")
+        ckpt.write_frontier_in(root, w, frontier)
+        # the crashed attempt is gone; only wave 0 persists its frontier
+        assert not os.path.exists(leftover)
+        assert os.listdir(d) == (["frontier_in.parquet"] if w == 0 else [])
 
     # but a wave recorded complete in the manifest is NEVER cleared
     ckpt._atomic_json(
@@ -161,6 +163,7 @@ def test_write_wave_refuses_completed_and_unrestored(ray_session, tmp_path):
     checkpoint without restore)."""
     import pyarrow as pa
     import pytest as _pytest
+    import ray.data
 
     from newsray.seen import make_seen_pool
     from newsray.frontier import make_scheduler_pool
@@ -168,10 +171,10 @@ def test_write_wave_refuses_completed_and_unrestored(ray_session, tmp_path):
     root = str(tmp_path)
     shards = make_seen_pool(2, 1 << 10)
     scheds = make_scheduler_pool(1, host_budget=10)
-    empty = pa.table({"x": pa.array([], pa.int64())})
-    ckpt.write_wave(root, 0, empty, empty, empty, shards, scheds, {})
+    empty = ray.data.from_arrow(pa.table({"x": pa.array([], pa.int64())}))
+    ckpt.write_wave(root, 0, empty, shards, scheds, {})
     with _pytest.raises(ValueError, match="already completed"):
-        ckpt.write_wave(root, 0, empty, empty, empty, shards, scheds, {})
+        ckpt.write_wave(root, 0, empty, shards, scheds, {})
     # fresh shards with empty logs, but manifest offsets advanced
     import json as _json
 
@@ -179,32 +182,93 @@ def test_write_wave_refuses_completed_and_unrestored(ray_session, tmp_path):
     man["seen_log_offsets"] = [99, 99]
     ckpt._atomic_json(os.path.join(root, "manifest.json"), man)
     with _pytest.raises(ValueError, match="ahead of the live"):
-        ckpt.write_wave(root, 1, empty, empty, empty, shards, scheds, {})
+        ckpt.write_wave(root, 1, empty, shards, scheds, {})
 
 
-def test_resume_streaming_finalize_fuzzy_repush(ray_session):
+def test_resume_streaming_finalize_fuzzy_repush(ray_session, tmp_path):
     """Resume + STREAMING finalize: the restored waves' fuzzy projections
-    re-push via the distributed pruned read (no driver wave tables), and the
-    fuzzy site's output still matches the sequential oracle exactly."""
+    re-push via the distributed pruned read (no driver wave tables), the
+    fuzzy site's output still matches the sequential oracle exactly, and
+    both sinks read the once-materialized articles."""
+    from ray.data.dataset import MaterializedDataset
+
+    from newsray import sink
+
     params = WebParams(only_sites=("google", "nate"))  # google = fuzzy site
     policy = CrawlPolicy()
-    with tempfile.TemporaryDirectory() as root:
-        ck = os.path.join(root, "ck")
-        CrawlPipeline(
-            PipelineConfig(
-                web_params=params, policy=CrawlPolicy(max_waves=1),
-                checkpoint_dir=ck,
-            )
-        ).run()
-        resumed = CrawlPipeline(
-            PipelineConfig(web_params=params, policy=policy, checkpoint_dir=ck)
+    ck = str(tmp_path / "ck")
+    CrawlPipeline(
+        PipelineConfig(
+            web_params=params, policy=CrawlPolicy(max_waves=1),
+            checkpoint_dir=ck,
         )
-        res = resumed.run(streaming_finalize=True)
-        assert resumed.start_wave >= 1
-        assert resumed._restored_doc_paths == []  # consumed by the re-push
-        got = sorted(
-            u for b in res["articles_ds"].iter_batches(batch_format="pyarrow")
-            for u in b["url"].to_pylist()
+    ).run()
+    resumed = CrawlPipeline(
+        PipelineConfig(web_params=params, policy=policy, checkpoint_dir=ck)
+    )
+    res = resumed.run(streaming_finalize=True)
+    assert resumed.start_wave >= 1
+    assert resumed._restored_row_files == []  # consumed by the re-push
+    assert isinstance(res["articles_ds"], MaterializedDataset)
+    got = sorted(
+        u for b in res["articles_ds"].iter_batches(batch_format="pyarrow")
+        for u in b["url"].to_pylist()
+    )
+    ora = run_oracle(SyntheticWeb(params), policy)
+    want = sorted(r["url"] for r in ora.articles)
+    assert got == want
+    sink.write_documents_ds(res["articles_ds"], str(tmp_path / "docs"))
+    assert sorted(sink.read_documents(str(tmp_path / "docs"))["doc_id"].to_pylist()) == want
+    sink.day_grouped_export_ds(res["articles_ds"], str(tmp_path / "json"))
+    exported = []
+    for fn in os.listdir(tmp_path / "json"):
+        for day in json.load(open(tmp_path / "json" / fn, encoding="utf-8")):
+            exported.extend(a["url"] for a in day["articles"])
+    assert sorted(exported) == want
+
+
+def _two_wave_checkpoint(root: str) -> None:
+    CrawlPipeline(
+        PipelineConfig(
+            web_params=WebParams(only_sites=("fnnews", "gukje")),
+            policy=CrawlPolicy(max_waves=2),
+            checkpoint_dir=root,
         )
-        ora = run_oracle(SyntheticWeb(params), policy)
-        assert got == sorted(r["url"] for r in ora.articles)
+    ).run()
+
+
+def _fresh_pipeline(root: str) -> CrawlPipeline:
+    return CrawlPipeline(
+        PipelineConfig(
+            web_params=WebParams(only_sites=("fnnews", "gukje")),
+            policy=CrawlPolicy(),
+            checkpoint_dir=root,
+        )
+    )
+
+
+def test_restore_refuses_old_layout(ray_session, tmp_path):
+    """A checkpoint in the pre-rows layout (docs / next_frontier /
+    fetch_log per wave, no layout version) must not resume as if its waves
+    were empty."""
+    root = str(tmp_path)
+    _two_wave_checkpoint(root)
+    manifest = json.load(open(os.path.join(root, "manifest.json")))
+    del manifest["layout"], manifest["wave_rows"]
+    ckpt._atomic_json(os.path.join(root, "manifest.json"), manifest)
+    with pytest.raises(ValueError, match="layout"):
+        ckpt.restore(_fresh_pipeline(root), root)
+
+
+def test_restore_refuses_missing_rows(ray_session, tmp_path):
+    """A completed wave whose rows files are gone while the manifest
+    records rows must raise, not read back as an empty wave."""
+    import shutil
+
+    root = str(tmp_path)
+    _two_wave_checkpoint(root)
+    manifest = json.load(open(os.path.join(root, "manifest.json")))
+    assert manifest["wave_rows"]["1"] > 0
+    shutil.rmtree(os.path.join(root, "wave_001", "rows"))
+    with pytest.raises(ValueError, match="rows files hold 0 rows"):
+        ckpt.restore(_fresh_pipeline(root), root)
