@@ -214,8 +214,8 @@ def restore(pipeline, root: str) -> bool:
             pipeline.fetch_logs.append(
                 rows.map_batches(flog_rows, batch_format="pyarrow", fn_kwargs={"wave": w})
             )
-            # finalize_streaming re-pushes these waves' fuzzy projections
-            # with a distributed pruned read over the same files
+            # finalize_streaming's fuzzy scan reads these waves' doc rows
+            # with a pruned read of the same files
             pipeline._restored_row_files.extend(files)
         else:  # an empty wave
             pipeline.doc_tables.append(WAVE_SCHEMA.empty_table())

@@ -558,8 +558,10 @@ def term_lookup_indexed(sf_dir: str):
     )
     files, _buckets = postings_dirs(idx, LOOKUP_TERMS)
     if not files:
-        return pa.table(
-            {"doc_id": pa.array([], pa.int64()), "score": pa.array([], pa.int64())}
+        return rd.from_arrow(
+            pa.table(
+                {"doc_id": pa.array([], pa.int64()), "score": pa.array([], pa.int64())}
+            )
         )
     ds = rd.read_parquet(files, columns=["term", "doc_id", "tf"])
 

@@ -1,20 +1,21 @@
 """The Ray-Data-native crawl pipeline: BFS wave loop over the frontier
 (SURVEY.md §3.5, §7).
 
-Each wave is exactly TWO streaming Dataset executions; the next frontier
-hands off LAZILY (its filter/relabel runs inside the next wave's plan over
-this wave's materialized outputs — zero extra executions per wave):
+Each wave is ONE fused streaming Dataset execution, materialized at the
+wave barrier; the next frontier hands off LAZILY (its filter/relabel runs
+inside the next wave's plan over this wave's materialized blocks — zero
+extra executions per wave):
 
-    A: frontier ──groupby(host)→ politeness/budget schedule (actor RPC, 1/host)
+    frontier ──groupby(host)→ politeness/budget schedule (actor RPC, 1/host)
              ──repartition→ skew-spread released rows
              ──map_batches(fetch+parse, fused)→ items/docs  [payload never leaves the stage]
-             ──map_batches(candidate gate)→ validity/canonicalize/robots
-             ──URL wave-min REGISTER ──materialize barrier──
-    B: cands ──URL RESOLVE+insert (cuckoo shards; shuffle-free within-wave
-               min-seq dedup — see seen.py)
-             ──greedy title CLAIM (title-seen sites; one-phase, retraction
-               set collected at the wave barrier)
-             ──map_batches(relevance + finalize)→ docs + next-frontier rows
+             ──map_batches(gate + claim + finalize)→ validity/canonicalize/robots,
+               greedy URL CLAIM with retraction (cuckoo shards; a lower seq
+               overtakes and retracts the earlier claimant — see seen.py),
+               deferred title RECORD (title-seen sites), relevance + finalize
+               → docs + next-frontier rows
+             ──materialize── barrier: title contention resolved, retracted
+               seqs dropped from every view by one broadcast filter
 
 Design notes for 10^10-URL scale:
 
@@ -26,16 +27,17 @@ Design notes for 10^10-URL scale:
   whose heavy setup (keyword automata, the synthetic-web generator; in
   production: HTTP session pools) is cached once per worker PROCESS in
   ``_ENGINES`` — amortized like an actor pool, but elastic and with zero
-  per-wave pool spin-up.
+  per-wave pool spin-up. The order-dependent fuzzy-title scan is a plain
+  task per fuzzy site at finalize, over the rows the waves already hold.
 * Wave barriers are inherent to BFS frontier feedback; what crosses a wave
   boundary is bounded metadata (frontier rows, article spans), not bytes.
 * The only per-wave all-to-all exchange is groupby(host) for politeness
   (ONE batched RPC per host per wave); exact dedup is shuffle-free via the
-  shards' two-phase min-seq protocol. A hot host's released rows are spread
+  shards' claim-with-retraction. A hot host's released rows are spread
   across blocks by an explicit repartition before the heavy fetch/parse
   stages (north_rule skew splitting: one token bucket per host, many fetch
   workers).
-* Datasets downstream of seen-filter stages are materialized exactly once
+* Datasets downstream of seen-claim stages are materialized exactly once
   before branching — re-executing a lazy plan with actor side effects would
   double-insert into the shards.
 * Every wave checkpoints under an atomic manifest (checkpoint.py): resume
@@ -66,7 +68,7 @@ from .extract import (
 from .frontier import ScheduleGroup, make_scheduler_pool
 from .oracle import effective_page_cap, make_matcher
 from .policy import CrawlPolicy
-from .seen import WaveMinStage, make_seen_pool, stable_hash64
+from .seen import WaveMinStage, make_seen_pool
 from .sites import SITE_RANK, SITES
 from .synth import SyntheticWeb, WebParams
 from .textfns import KeywordMatcher, fuzzy_is_dup, html_to_text, normalize_for_fuzzy
@@ -164,12 +166,6 @@ import re as _re
 
 _BR_PAT = _re.compile(r"<br\s*/?>", _re.IGNORECASE)
 _TAG_PAT = _re.compile(r"<[^>]+>")
-
-# diagnostic switch: skip all metrics RPCs (bench A/B only — wave metrics
-# come back empty; never set in normal runs)
-import os as _os
-
-_NO_METRICS = bool(_os.environ.get("NEWSRAY_NO_METRICS"))
 
 
 class _Engine:
@@ -380,28 +376,6 @@ def cand_gate(batch: pa.Table, policy: CrawlPolicy) -> pa.Table:
     return batch.filter(pa.array(keep, pa.bool_()))
 
 
-def add_bucket(batch: pa.Table, key_cols: list[str], n_buckets: int) -> pa.Table:
-    """Hash-bucket column for the shuffle-based dedup alternative (the
-    two-phase actor protocol replaced it in the wave loop; kept as the
-    explicit-exchange variant for cluster configurations where the seen
-    shards would be the bottleneck)."""
-    if batch.num_rows == 0:
-        return batch.append_column("bucket", pa.array([], pa.int64()))
-    cols = [batch[c].to_pylist() for c in key_cols]
-    b = [
-        stable_hash64("\x1f".join(str(v) for v in vals)) % n_buckets
-        for vals in zip(*cols)
-    ]
-    return batch.append_column("bucket", pa.array(b, pa.int64()))
-
-
-def dedup_min_seq(g: pd.DataFrame, subset: list[str]) -> pd.DataFrame:
-    """Within-wave exact dedup: min-discovered_seq row wins (deterministic
-    regardless of block arrival order — SURVEY §7.5.1)."""
-    g = g.sort_values("discovered_seq", kind="mergesort")
-    return g.drop_duplicates(subset=subset, keep="first")
-
-
 def relevance_finalize(
     batch: pa.Table, web_params: WebParams, policy: CrawlPolicy
 ) -> pa.Table:
@@ -610,16 +584,13 @@ class PipelineConfig:
     repartition_blocks: int = 16
     checkpoint_dir: str | None = None
     seen_capacity_per_shard: int = 1 << 18
-    # per-site fuzzy projection buffers spill to sorted parquet runs past
-    # this many buffered rows (bounds actor RSS on the hot fuzzy site)
-    fuzzy_spill_rows: int = 1 << 20
     # optional CPU reservation per state actor (0 = unreserved; a nonzero
     # fraction quantizes away whole task slots at very small cluster sizes)
     actor_num_cpus: float = 0.0
     # chaos hook (tests): name of a Ray actor whose take() decides whether a
-    # fetch task raises AFTER its side effects committed — proves the wave
-    # protocol's side effects (claims, fuzzy pushes, metrics) replay safely
-    # under Ray's task retry. None (production) = zero cost.
+    # fetch task raises mid-wave — proves the wave protocol's output is
+    # unchanged when Ray's task retry re-runs a batch late in the wave.
+    # None (production) = zero cost.
     fault_inject_actor: str | None = None
     # S5 existing-output bootstrap: seed the URL-seen shards from a prior
     # run's day-grouped JSON exports (the reference's get_existing_links —
@@ -648,16 +619,6 @@ class CrawlPipeline:
 
         self.metrics = MetricsActor.remote()
         self._fuzzy_sites = pa.array([s for s, c in SITES.items() if c.fuzzy_dedup])
-        # one buffer actor PER fuzzy site (the scan is per-site sequential;
-        # per-site actors bound RSS via spill and scan sites in parallel)
-        self.fuzzy_bufs: dict[str, "ray.actor.ActorHandle"] = {
-            s: FuzzyTitleBuffer.remote(
-                s,
-                spill_rows=cfg.fuzzy_spill_rows,
-                fuzzy_threshold=SITES[s].fuzzy_threshold,
-            )
-            for s in self._fuzzy_sites.to_pylist()
-        }
         self.retracted_seqs: set[int] = set()
         self.wave_metrics: list[dict] = []
         self.fetch_logs: list[pa.Table] = []
@@ -666,9 +627,10 @@ class CrawlPipeline:
         self._frontier0: pa.Table | None = None
         self._restored = False
         self._bootstrapped = False
-        # rows files of checkpoint-restored waves: their docs' fuzzy
-        # projections re-push via a DISTRIBUTED pruned read in
-        # finalize_streaming (never a driver loop over wave tables)
+        # where finalize_streaming's fuzzy scan reads the crawl's doc rows:
+        # the live waves' materialized blocks and the rows files of
+        # checkpoint-restored waves (never a driver copy of either)
+        self._wave_blocks: list = []
         self._restored_row_files: list[str] = []
 
     def dump_seen(self) -> tuple[set, set]:
@@ -785,50 +747,18 @@ class CrawlPipeline:
         url_wave = WaveMinStage(self.seen_shards, "u", "site", "canon_url")
         title_wave = WaveMinStage(self.seen_shards, "t", "site", "title")
 
-        # -- execution A: schedule → fetch+parse → gate → URL register ------
         sched_fn = ScheduleGroup(self.schedulers)
-        fuzzy_bufs, fuzzy_arr = self.fuzzy_bufs, self._fuzzy_sites
-
-        def push_fuzzy_proj(out: pa.Table) -> list:
-            """Side-channel each fuzzy site's doc (site, seq, title) rows to
-            that site's buffer actor so finalize's scan needs no extra doc
-            pass. Returns the pending refs (ray.get'd with the metrics RPC —
-            counts and scan input are durable before the execution
-            barrier)."""
-            if not fuzzy_bufs or out.num_rows == 0:
-                return []
-            m = pc.and_(
-                pc.equal(out["rowkind"], "doc"),
-                pc.is_in(out["site"], value_set=fuzzy_arr),
-            )
-            if not pc.any(m).as_py():
-                return []
-            proj = out.filter(m).select(FUZZY_PROJ_COLS)
-            refs = []
-            for site, buf in fuzzy_bufs.items():
-                sub = proj.filter(pc.equal(proj["site"], site))
-                if sub.num_rows:
-                    refs.append(buf.add.remote(sub))
-            return refs
-
         fault_actor = cfg.fault_inject_actor
 
         def fetch_parse_m(b: pa.Table) -> pa.Table:
             out = fetch_parse(b, wp, policy)
-            refs = push_fuzzy_proj(out)
             if fault_actor is not None and b.num_rows:
-                # chaos hook: die AFTER this batch's side effects commit —
-                # Ray's task retry must reproduce the batch with claims /
-                # fuzzy pushes / metrics all replay-safe (tested end-to-end)
-                if refs:
-                    ray.get(refs)
-                    refs = []
+                # chaos hook: die after the fetch, before this batch's
+                # claims and counters — the retry re-runs the batch later in
+                # the wave, so its claims arrive in another order (tested
+                # end-to-end)
                 if ray.get(ray.get_actor(fault_actor).take.remote()):
                     raise RuntimeError("injected transient fault (test hook)")
-            if _NO_METRICS:
-                if refs:
-                    ray.get(refs)
-                return out
             kinds = out["rowkind"]
             # ONE batched increment per batch, FIRE-AND-FORGET: a synchronous
             # ray.get here serialized every task of the wave through the one
@@ -838,9 +768,7 @@ class CrawlPipeline:
             # terminate-on-empty decision) confirms zero with an exact
             # data-plane count (run(): nxt.count()), and run() re-reads the
             # totals after the last barrier to repair any delivery lag in
-            # the recorded wave_metrics. Fuzzy pushes below stay synchronous:
-            # finalize's scan consumes them, so they must be durable at the
-            # wave barrier.
+            # the recorded wave_metrics.
             metrics.incr_many.remote(
                 wave,
                 {
@@ -850,8 +778,6 @@ class CrawlPipeline:
                     "next_rows": int(pc.sum(pc.equal(kinds, "next")).as_py() or 0),
                 },
             )
-            if refs:
-                ray.get(refs)
             return out
 
         def gate_claim_finalize(b: pa.Table) -> pa.Table:
@@ -869,24 +795,19 @@ class CrawlPipeline:
                  cands.filter(pc.invert(is_t)).select(WAVE_SCHEMA.names)]
             )
             fin = relevance_finalize(merged, wp, policy)
-            refs = push_fuzzy_proj(fin)
-            if not _NO_METRICS:
-                # fire-and-forget, same rationale as fetch_parse_m
-                metrics.incr_many.remote(
-                    wave,
-                    {
-                        "cand_admitted": n_admitted,
-                        "docs_emitted": int(
-                            pc.sum(pc.equal(fin["rowkind"], "doc")).as_py() or 0
-                        ),
-                        "frontier_rows": int(
-                            pc.sum(pc.equal(fin["rowkind"], "frontier")).as_py()
-                            or 0
-                        ),
-                    },
-                )
-            if refs:
-                ray.get(refs)
+            # fire-and-forget, same rationale as fetch_parse_m
+            metrics.incr_many.remote(
+                wave,
+                {
+                    "cand_admitted": n_admitted,
+                    "docs_emitted": int(
+                        pc.sum(pc.equal(fin["rowkind"], "doc")).as_py() or 0
+                    ),
+                    "frontier_rows": int(
+                        pc.sum(pc.equal(fin["rowkind"], "frontier")).as_py() or 0
+                    ),
+                },
+            )
             return pa.concat_tables(
                 [others.select(WAVE_SCHEMA.names), fin.select(WAVE_SCHEMA.names)]
             )
@@ -918,6 +839,8 @@ class CrawlPipeline:
             .map_batches(gate_claim_finalize, batch_format="pyarrow")
             .materialize()  # wave barrier: claims + finalize durable
         )
+        # the wave's blocks, for finalize's fuzzy scan (no new execution)
+        self._wave_blocks.extend(parsed.to_arrow_refs())
         # retraction sets, both O(same-wave key collisions), tiny:
         # URL claims overtaken by a lower seq, then the deferred title
         # contention resolved against them (two RPC rounds, driver sees
@@ -1033,27 +956,26 @@ class CrawlPipeline:
         # wave repairs any fire-and-forget delivery lag in the recorded
         # diagnostics (checkpoint-restored waves predate this session's
         # metrics actor and keep their stored values)
-        if not _NO_METRICS:
-            for m in self.wave_metrics:
-                if m["wave"] < self.start_wave:
-                    continue
-                t = ray.get(self.metrics.wave_totals.remote(m["wave"]))
-                m["fetched"] = int(t.get("pages_fetched", 0))
-                m["candidates"] = int(t.get("items_parsed", 0))
-                m["docs"] = int(t.get("docs_emitted", 0))
-            # ... and persist the repaired values: the per-wave checkpoints
-            # were written mid-run with possibly-lagged counters, and a
-            # resumed run reads its diagnostics from them
-            if cfg.checkpoint_dir:
-                ckpt.repair_wave_metrics(
-                    cfg.checkpoint_dir,
-                    [m for m in self.wave_metrics if m["wave"] >= self.start_wave],
-                )
+        for m in self.wave_metrics:
+            if m["wave"] < self.start_wave:
+                continue
+            t = ray.get(self.metrics.wave_totals.remote(m["wave"]))
+            m["fetched"] = int(t.get("pages_fetched", 0))
+            m["candidates"] = int(t.get("items_parsed", 0))
+            m["docs"] = int(t.get("docs_emitted", 0))
+        # ... and persist the repaired values: the per-wave checkpoints
+        # were written mid-run with possibly-lagged counters, and a
+        # resumed run reads its diagnostics from them
+        if cfg.checkpoint_dir:
+            ckpt.repair_wave_metrics(
+                cfg.checkpoint_dir,
+                [m for m in self.wave_metrics if m["wave"] >= self.start_wave],
+            )
         return self.finalize_streaming() if streaming_finalize else self.finalize()
 
     def shutdown(self) -> None:
         """Kill this pipeline's actor pools (seen shards, schedulers,
-        metrics, fuzzy buffers). Call when the run's results have been
+        metrics). Call when the run's results have been
         consumed: result datasets stay readable (their wave parents are
         materialized; the remaining lazy stages are pure filters), but a new
         run needs a new pipeline. Long sessions that build pipelines in a
@@ -1064,7 +986,6 @@ class CrawlPipeline:
             *self.seen_shards,
             *self.schedulers,
             self.metrics,
-            *self.fuzzy_bufs.values(),
         ):
             try:
                 ray.kill(a)
@@ -1104,14 +1025,13 @@ class CrawlPipeline:
     def finalize_streaming(self) -> dict:
         """Scale-path finalize: article/document rows never aggregate on the
         driver. The order-dependent fuzzy near-dup scan (sequential by
-        reference semantics — SURVEY §7.4/§7.5.2) consumes the (site, seq,
-        title) projections the wave stages already side-channelled to the
-        buffer actor — so it needs NO extra pass over the doc datasets —
-        and returns only the accepted seq set, which a parallel broadcast
-        filter applies inside the one finalize execution. This replaces a
-        ``groupby(site).map_groups`` formulation whose sort/exchange
-        machinery cost ~11 s of pure overhead at bench scale for ~3 s of
-        actual work.
+        reference semantics — SURVEY §7.4/§7.5.2) is ONE task per fuzzy
+        site (`fuzzy_scan_site`) over the rows the crawl already holds: the
+        live waves' materialized blocks (object-store refs), the restored
+        waves' checkpoint rows files, and any driver-side doc tables (put
+        in the object store). It returns only the accepted seq set, which
+        a parallel broadcast filter applies inside the one finalize
+        execution; non-fuzzy blocks filter while the scan runs.
 
         The articles are materialized ONCE, in the object store (never
         collected to the driver): the two sinks consume them three times
@@ -1119,9 +1039,6 @@ class CrawlPipeline:
         result would re-run the final filter over every wave's docs — and
         re-read restored checkpoint files — on each pass. ``documents_ds``
         is a lazy span pivot over those blocks."""
-        import time as _time
-
-        _t0 = _time.time()
         fuzzy_sites = self._fuzzy_sites
         doc_ds_list = [
             ray.data.from_arrow(t) if isinstance(t, pa.Table) else t
@@ -1131,54 +1048,18 @@ class CrawlPipeline:
         for d in doc_ds_list[1:]:
             docs_ds = docs_ds.union(d)
 
-        kept_refs: list = []
-        if self.fuzzy_bufs:
-            # waves restored from a checkpoint never ran their stages here,
-            # so their projections aren't in the buffers yet: re-push them
-            # with a DISTRIBUTED pruned read over the checkpoint rows files
-            # (4 narrow columns, doc rows only; map_batches pushes straight
-            # to the site buffers — no wave table ever lands on the
-            # driver); the scan's same-seq skip makes a repeated finalize
-            # idempotent
-            if self._restored_row_files:
-                bufs = self.fuzzy_bufs
-
-                def push_restored(b: pa.Table) -> pa.Table:
-                    b = b.filter(pc.equal(b["rowkind"], "doc"))
-                    refs = []
-                    for site, buf in bufs.items():
-                        sub = b.filter(pc.equal(b["site"], site))
-                        if sub.num_rows:
-                            refs.append(buf.add.remote(sub.select(FUZZY_PROJ_COLS)))
-                    if refs:
-                        ray.get(refs)  # durable before the pass's barrier
-                    return pa.Table.from_pydict(
-                        {"n": pa.array([b.num_rows], pa.int64())}
-                    )
-
-                (
-                    ray.data.read_parquet(
-                        self._restored_row_files, columns=["rowkind", *FUZZY_PROJ_COLS]
-                    )
-                    .map_batches(push_restored, batch_format="pyarrow")
-                    .sum("n")  # execution barrier; driver sees one int
-                )
-                self._restored_row_files = []
-            # also accept plain driver-side tables (test paths append them)
-            extras = []
-            for t in self.doc_tables:
-                if isinstance(t, pa.Table) and t.num_rows:
-                    for site, buf in self.fuzzy_bufs.items():
-                        sub = t.filter(pc.equal(t["site"], site))
-                        if sub.num_rows:
-                            extras.append(
-                                buf.add.remote(sub.select(FUZZY_PROJ_COLS))
-                            )
-            if extras:
-                ray.get(extras)
-            drop = list(self.retracted_seqs)
-            kept_refs = [b.scan.remote(drop) for b in self.fuzzy_bufs.values()]
-        self.finalize_metrics = {"fuzzy_scan_kickoff": round(_time.time() - _t0, 3)}
+        blocks = self._wave_blocks + [
+            ray.put(t) for t in self.doc_tables if isinstance(t, pa.Table) and t.num_rows
+        ]
+        drop = pa.array(sorted(self.retracted_seqs), pa.int64())
+        # the threshold is passed from the driver, which sees dynamically
+        # registered plugin sites in SITES
+        kept_refs = [
+            fuzzy_scan_site.remote(
+                site, SITES[site].fuzzy_threshold, blocks, self._restored_row_files, drop
+            )
+            for site in fuzzy_sites.to_pylist()
+        ]
 
         def final_filter(b: pa.Table) -> pa.Table:
             if kept_refs and b.num_rows:
@@ -1204,7 +1085,6 @@ class CrawlPipeline:
                 "documents_ds": documents_ds,
                 "fetch_logs": self.fetch_logs,
                 "wave_metrics": self.wave_metrics,
-                "finalize_metrics": self.finalize_metrics,
             }
         )
 
@@ -1290,66 +1170,36 @@ class RunResult(dict):
         return v
 
 
-FUZZY_PROJ_COLS = ["site", "discovered_seq", "title"]
+SCAN_COLS = ["discovered_seq", "title"]
+SCAN_SLICE = 8192  # rows per Arrow slice a scan run is read in
 
 
-def _fuzzy_scan_tables(tables: list[pa.Table], drop: frozenset) -> "np.ndarray":
-    """The order-dependent fuzzy near-dup scan, off the driver: concatenates
-    (site, discovered_seq, title) projection tables and runs each fuzzy
-    site's sequential first-accepted-wins scan in discovered_seq order —
-    the reference's scan order, threshold verbatim — returning ONLY the
-    accepted seqs (int64). Replay-safe: repeated pushes of the same seq
-    (task retries, repeated finalize) collapse via the sorted same-seq
-    skip; retracted seqs are excluded up front. Exact normalized repeats
+def _fuzzy_scan_runs(thr: int, runs: list[pa.Table], drop: pa.Array) -> "np.ndarray":
+    """The order-dependent fuzzy near-dup scan of ONE site: sequential
+    first-accepted-wins in discovered_seq order — the reference's scan
+    order, threshold verbatim — over a k-way MERGE of seq-sorted runs
+    (tables holding ``SCAN_COLS``), returning ONLY the accepted seqs
+    (int64). Runs are read in Arrow slices of at most ``SCAN_SLICE`` rows,
+    so besides the runs themselves the scan holds the accepted-title memory
+    (inherent to the semantics) plus one slice per run. Retracted seqs
+    (``drop``) are excluded up front; a seq present twice (a replayed or
+    repeated input) is scanned once; exact normalized repeats
     short-circuit before the bit-parallel LCS."""
-    import numpy as np
-
-    live = [t for t in tables if t.num_rows]
-    if not live:
-        return np.empty(0, dtype=np.int64)
-    t = pa.concat_tables(live)
-    accepted: list[int] = []
-    for site in pc.unique(t["site"]).to_pylist():
-        sub = t.filter(pc.equal(t["site"], site))
-        order = pc.sort_indices(sub["discovered_seq"])
-        seqs = sub["discovered_seq"].take(order).to_pylist()
-        titles = sub["title"].take(order).to_pylist()
-        thr = SITES[site].fuzzy_threshold
-        mem: list[str] = []
-        mem_exact: set[str] = set()
-        prev = None
-        for sq, ti in zip(seqs, titles):
-            if sq == prev or sq in drop:
-                continue
-            prev = sq
-            norm = normalize_for_fuzzy(ti)
-            if norm in mem_exact or fuzzy_is_dup(ti, mem, thr):
-                continue
-            mem.append(norm)
-            mem_exact.add(norm)
-            accepted.append(sq)
-    return np.asarray(accepted, dtype=np.int64)
-
-
-def _fuzzy_scan_runs(thr: int, runs: list, drop: frozenset) -> "np.ndarray":
-    """The per-site sequential first-accepted-wins scan over a k-way MERGE
-    of seq-sorted runs (spill files + the in-memory tail): the scan's input
-    never concatenates into one table, so scan memory is bounded by the
-    accepted-title memory (inherent to the semantics) plus one read batch
-    per run. Same replay/retraction contract as `_fuzzy_scan_tables`:
-    duplicate seqs are adjacent in merge order and skipped; retracted seqs
-    are dropped up front; exact normalized repeats short-circuit before the
-    bit-parallel LCS."""
     import heapq
 
     import numpy as np
+
+    def rows(run: pa.Table):
+        for b in run.to_batches(max_chunksize=SCAN_SLICE):
+            b = drop_retracted(b, drop)
+            yield from zip(b["discovered_seq"].to_pylist(), b["title"].to_pylist())
 
     mem: list[str] = []
     mem_exact: set[str] = set()
     prev = None
     accepted: list[int] = []
-    for sq, ti in heapq.merge(*runs, key=lambda x: x[0]):
-        if sq == prev or sq in drop:
+    for sq, ti in heapq.merge(*map(rows, runs), key=lambda x: x[0]):
+        if sq == prev:
             continue
         prev = sq
         norm = normalize_for_fuzzy(ti)
@@ -1361,113 +1211,65 @@ def _fuzzy_scan_runs(thr: int, runs: list, drop: frozenset) -> "np.ndarray":
     return np.asarray(accepted, dtype=np.int64)
 
 
-@ray.remote(num_cpus=0)
-class FuzzyTitleBuffer:
-    """ONE actor PER FUZZY SITE accumulating that site's (site, seq, title)
-    doc projections as the wave stages emit them — three narrow columns per
-    fuzzy doc, never on the driver — and SPILLING to seq-sorted parquet
-    runs past ``spill_rows`` so the hot fuzzy site (the reference's google,
-    ~half the frontier) never holds its whole projection in actor RSS.
-    The scan k-way-merges the sorted spill runs with the in-memory tail
-    (`_fuzzy_scan_runs`) — streaming, not concat-and-sort. Per-site actors
-    also let multiple fuzzy sites scan in parallel. num_cpus=0 like the
-    other state actors — a fractional reservation quantizes away whole
-    task slots at small cluster sizes."""
+@ray.remote
+def fuzzy_scan_site(
+    site: str, thr: int, blocks: list, row_files: list[str], drop: pa.Array
+) -> "np.ndarray":
+    """One fuzzy site's finalize scan as a plain task: one seq-sorted run
+    per wave block (object-store refs, fetched one at a time and cut to the
+    site's doc rows) and per checkpoint rows file (a pruned read of the
+    same rows), merged by `_fuzzy_scan_runs`."""
+    import pyarrow.parquet as pq
 
-    def __init__(self, site: str, spill_dir: str | None = None,
-                 spill_rows: int = 1 << 20, fuzzy_threshold: int | None = None):
-        self.site = site
-        # threshold is passed IN by the driver (which sees dynamically
-        # registered plugin sites in SITES) — this actor process's module
-        # copy may never have seen the registration
-        self.fuzzy_threshold = (
-            fuzzy_threshold
-            if fuzzy_threshold is not None
-            else SITES[site].fuzzy_threshold
-        )
-        self.spill_rows = spill_rows
-        self._spill_dir = spill_dir  # created lazily on first spill
-        self._tables: list[pa.Table] = []
-        self._rows = 0
-        self._spills: list[str] = []
+    def site_docs(t: pa.Table) -> pa.Table:
+        m = pc.and_(pc.equal(t["rowkind"], "doc"), pc.equal(t["site"], site))
+        return t.filter(m).select(SCAN_COLS).sort_by("discovered_seq")
 
-    def add(self, t: pa.Table) -> None:
-        if t.num_rows == 0:
-            return
-        self._tables.append(t)
-        self._rows += t.num_rows
-        if self._rows >= self.spill_rows:
-            self._spill()
+    runs = [site_docs(t) for t in map(ray.get, blocks) if t.num_rows]
+    runs += [
+        pq.read_table(
+            f, columns=SCAN_COLS, filters=[("rowkind", "=", "doc"), ("site", "=", site)]
+        ).sort_by("discovered_seq")
+        for f in row_files
+    ]
+    return _fuzzy_scan_runs(thr, runs, drop)
 
-    def _spill(self) -> None:
-        import os
-        import tempfile
 
-        import pyarrow.parquet as pq
+def _fuzzy_scan_tables(
+    tables: list[pa.Table], drop: frozenset = frozenset()
+) -> "np.ndarray":
+    """`_fuzzy_scan_runs` over driver-side (site, discovered_seq, title)
+    tables: one run per site, with that site's threshold; returns every
+    site's accepted seqs."""
+    import numpy as np
 
-        if self._spill_dir is None:
-            self._spill_dir = tempfile.mkdtemp(prefix=f"newsray_fuzzy_{self.site}_")
-        os.makedirs(self._spill_dir, exist_ok=True)
-        t = pa.concat_tables(self._tables).sort_by("discovered_seq")
-        path = os.path.join(self._spill_dir, f"run_{len(self._spills):06d}.parquet")
-        pq.write_table(t, path)
-        self._spills.append(path)
-        self._tables, self._rows = [], 0
-
-    def stats(self) -> dict:
-        """Introspection for tests: in-memory rows stay < spill_rows."""
-        return {"buffered_rows": self._rows, "n_spills": len(self._spills)}
-
-    def scan(self, drop: list[int]) -> "np.ndarray":
-        import pyarrow.parquet as pq
-
-        def file_run(path):
-            f = pq.ParquetFile(path)
-            for batch in f.iter_batches(
-                columns=["discovered_seq", "title"], batch_size=8192
-            ):
-                yield from zip(
-                    batch["discovered_seq"].to_pylist(), batch["title"].to_pylist()
-                )
-
-        runs = [file_run(p) for p in self._spills]
-        live = [t for t in self._tables if t.num_rows]
-        if live:
-            tail = pa.concat_tables(live).sort_by("discovered_seq")
-            runs.append(
-                iter(
-                    zip(
-                        tail["discovered_seq"].to_pylist(),
-                        tail["title"].to_pylist(),
-                    )
-                )
+    live = [t for t in tables if t.num_rows]
+    if not live:
+        return np.empty(0, dtype=np.int64)
+    t = pa.concat_tables(live)
+    drop_arr = pa.array(sorted(drop), pa.int64())
+    return np.concatenate(
+        [
+            _fuzzy_scan_runs(
+                SITES[site].fuzzy_threshold,
+                [t.filter(pc.equal(t["site"], site)).sort_by("discovered_seq")],
+                drop_arr,
             )
-        return _fuzzy_scan_runs(self.fuzzy_threshold, runs, frozenset(drop))
+            for site in pc.unique(t["site"]).to_pylist()
+        ]
+    )
 
 
 def _fuzzy_pass(arts: pa.Table) -> pa.Table:
-    """Order-dependent fuzzy title dedup for fuzzy-enabled sites; sequential
-    by definition (SURVEY §7.5.2) — one pass over the accepted set, per
-    site, in discovered_seq order, threshold preserved verbatim. Exact
-    normalized-title repeats short-circuit (ratio 100 ≥ any threshold)
-    before the bit-parallel LCS scan."""
-    fuzzy_sites = {s for s, c in SITES.items() if c.fuzzy_dedup}
-    if not fuzzy_sites:
-        return arts
-    keep = []
-    mem: dict[str, list[str]] = {s: [] for s in fuzzy_sites}
-    mem_exact: dict[str, set] = {s: set() for s in fuzzy_sites}
-    for s, t in zip(arts["site"].to_pylist(), arts["title"].to_pylist()):
-        if s in fuzzy_sites:
-            cfg = SITES[s]
-            norm = normalize_for_fuzzy(t)
-            if norm in mem_exact[s] or fuzzy_is_dup(t, mem[s], cfg.fuzzy_threshold):
-                keep.append(False)
-                continue
-            mem[s].append(norm)
-            mem_exact[s].add(norm)
-        keep.append(True)
-    return arts.filter(pa.array(keep, pa.bool_()))
+    """Order-dependent fuzzy title dedup of driver-side article rows
+    (SURVEY §7.5.2): fuzzy-enabled sites keep only the rows the scan
+    accepts; other sites pass through."""
+    fuzzy = pa.array([s for s, c in SITES.items() if c.fuzzy_dedup], pa.string())
+    is_f = pc.is_in(arts["site"], value_set=fuzzy)
+    kept = pa.array(_fuzzy_scan_tables([arts.filter(is_f)]), pa.int64())
+    return arts.filter(
+        pc.or_(pc.invert(is_f), pc.is_in(arts["discovered_seq"], value_set=kept))
+    )
 
 
 def _spans_batch(b: pa.Table, has_summary: dict | None = None) -> pa.Table:

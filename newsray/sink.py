@@ -355,9 +355,9 @@ def _site_payload(site: str, df, flags: tuple[bool, bool] | None = None) -> list
 
     ``flags`` = (sort_in_group, has_summary) — REQUIRED when called inside
     a Ray worker: the worker's module-level SITES lacks dynamically
-    registered plugin sites (same failure mode as `_spans_batch` /
-    `FuzzyTitleBuffer`, fixed 9c316da), so callers snapshot the config on
-    the driver and ship it in the closure. Driver-side callers may omit it."""
+    registered plugin sites (same failure mode as `_spans_batch`, fixed
+    9c316da), so callers snapshot the config on the driver and ship it in
+    the closure. Driver-side callers may omit it."""
     sort_in_group, has_summary = (
         flags if flags is not None
         else (SITES[site].sort_in_group, SITES[site].has_summary)

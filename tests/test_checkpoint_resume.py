@@ -185,11 +185,12 @@ def test_write_wave_refuses_completed_and_unrestored(ray_session, tmp_path):
         ckpt.write_wave(root, 1, empty, shards, scheds, {})
 
 
-def test_resume_streaming_finalize_fuzzy_repush(ray_session, tmp_path):
-    """Resume + STREAMING finalize: the restored waves' fuzzy projections
-    re-push via the distributed pruned read (no driver wave tables), the
-    fuzzy site's output still matches the sequential oracle exactly, and
-    both sinks read the once-materialized articles."""
+def test_resume_streaming_finalize_fuzzy_exact(ray_session, tmp_path):
+    """Resume + STREAMING finalize: the fuzzy scan reads the restored
+    waves' doc rows from their checkpoint rows files and the live waves'
+    from their blocks, the fuzzy site's output still matches the
+    sequential oracle exactly, and both sinks read the once-materialized
+    articles."""
     from ray.data.dataset import MaterializedDataset
 
     from newsray import sink
@@ -208,7 +209,7 @@ def test_resume_streaming_finalize_fuzzy_repush(ray_session, tmp_path):
     )
     res = resumed.run(streaming_finalize=True)
     assert resumed.start_wave >= 1
-    assert resumed._restored_row_files == []  # consumed by the re-push
+    assert resumed._restored_row_files
     assert isinstance(res["articles_ds"], MaterializedDataset)
     got = sorted(
         u for b in res["articles_ds"].iter_batches(batch_format="pyarrow")

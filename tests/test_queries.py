@@ -525,6 +525,21 @@ def test_postings_lookup_reads_only_term_partitions(ray_session):
     assert os.path.getmtime(os.path.join(idx, "_built.json")) == mtime
 
 
+def test_term_lookup_indexed_empty_is_dataset(ray_session, monkeypatch):
+    """When the query terms hash to no materialized partition, the postings
+    lookup returns an empty Dataset with the result schema — the same type
+    as every other lookup result and as knn_lsh_indexed's empty probe."""
+    import ray.data as rd
+
+    from newsray import lexical
+
+    monkeypatch.setattr(lexical, "postings_dirs", lambda idx, terms: ([], set()))
+    out = lexical.term_lookup_indexed(SF)
+    assert isinstance(out, rd.Dataset)
+    assert out.count() == 0
+    assert out.schema().names == ["doc_id", "score"]
+
+
 def test_idempotent_partitioned_build_race_loser(tmp_path, monkeypatch):
     """The shared index-build contract: a builder whose swap collides with
     a racing winner (rename fails, winner's complete tree + matching marker

@@ -135,67 +135,175 @@ def test_deferred_title_resolution_honors_url_retractions():
     assert sh.contains(["t:X"]) == [True]
 
 
-def test_fuzzy_buffer_spills_and_scans_exactly(ray_session):
-    """VERDICT r2 #2: the per-site fuzzy buffer must spill to sorted parquet
-    runs past spill_rows (actor RSS never holds the whole projection) and
-    its streaming merge scan must equal the in-memory reference scan."""
+def _naive_fuzzy_scan(t: pa.Table, thr: int, drop: set) -> list[int]:
+    """Reference: the sequential first-accepted-wins loop, written out over
+    the whole table sorted by seq."""
+    from newsray.textfns import fuzzy_is_dup, normalize_for_fuzzy
+
+    t = t.sort_by("discovered_seq")
+    mem: list[str] = []
+    out = []
+    for sq, ti in zip(t["discovered_seq"].to_pylist(), t["title"].to_pylist()):
+        if sq in drop:
+            continue
+        if normalize_for_fuzzy(ti) in mem or fuzzy_is_dup(ti, mem, thr):
+            continue
+        mem.append(normalize_for_fuzzy(ti))
+        out.append(sq)
+    return out
+
+
+def test_fuzzy_scan_task_merges_block_and_file_runs(ray_session, tmp_path):
+    """The finalize scan task k-way-merges many out-of-order runs — wave
+    blocks in the object store and checkpoint rows files read with a
+    pruned read, each mixed with rows it must ignore (other rowkinds,
+    other sites) — and equals the single-table scan and a written-out
+    reference loop, with and without a retraction drop set."""
     import numpy as np
+    import pyarrow.parquet as pq
     import ray as _ray
 
-    from newsray.pipeline import FuzzyTitleBuffer, _fuzzy_scan_tables
+    from newsray.pipeline import SCAN_SLICE, _fuzzy_scan_tables, fuzzy_scan_site
     from newsray.sites import SITES
 
     site = next(s for s, c in SITES.items() if c.fuzzy_dedup)
+    other = next(s for s, c in SITES.items() if not c.fuzzy_dedup)
+    thr = SITES[site].fuzzy_threshold
     rng = np.random.default_rng(7)
-    n = 5000
+    n = SCAN_SLICE + 2000
+
+    def hangul(k: int) -> str:
+        return "".join(chr(0xAC00 + int(c)) for c in rng.integers(0, 11172, k))
+
+    # unique titles (1 in 40), exact repeats and one-syllable variants of
+    # 20 stems: both dedup paths (exact short-circuit, fuzzy LCS) fire
+    stems = [hangul(10) for _ in range(20)]
     seqs = rng.permutation(n * 3)[:n].astype("int64")  # unsorted arrival
-    # a mix of unique titles and exact repeats (repeats dedup in the scan)
-    titles = [
-        f"고유한 제목 {int(s)} 뉴스" if s % 3 else "반복되는 동일 제목 뉴스" for s in seqs
-    ]
+    titles = []
+    for s in seqs:
+        stem = stems[int(s) % 20]
+        if s % 40 == 0:
+            titles.append(hangul(10))
+        elif s % 3 == 0:
+            titles.append(stem[:4] + hangul(1) + stem[5:])
+        else:
+            titles.append(stem)
     t = pa.table({"site": [site] * n, "discovered_seq": seqs, "title": titles})
 
-    buf = FuzzyTitleBuffer.remote(site, spill_rows=512)
-    for i in range(0, n, 250):  # pushed in arrival chunks
-        _ray.get(buf.add.remote(t.slice(i, 250)))
-    stats = _ray.get(buf.stats.remote())
-    assert stats["n_spills"] >= 5, stats  # it really spilled
-    assert stats["buffered_rows"] < 512, stats  # RSS bounded by spill_rows
-    got = list(_ray.get(buf.scan.remote([])))
-    want = list(_fuzzy_scan_tables([t], frozenset()))
-    assert got == want
-    # retraction drop applies identically through the merge path
-    drop = [int(s) for s in sorted(seqs)[:50]]
-    assert list(_ray.get(buf.scan.remote(drop))) == list(
-        _fuzzy_scan_tables([t], frozenset(drop))
-    )
+    def wave_rows(part: pa.Table) -> pa.Table:
+        m = part.num_rows
+        noise = pa.table(
+            {
+                "rowkind": ["doc"] * m + ["flog"] * m,
+                "site": [other] * m + [site] * m,
+                "discovered_seq": pa.concat_arrays(
+                    [part["discovered_seq"].combine_chunks()] * 2
+                ),
+                "title": ["다른 사이트 제목"] * m + [None] * m,
+            }
+        )
+        docs = part.append_column("rowkind", pa.array(["doc"] * m)).select(
+            noise.column_names
+        )
+        return pa.concat_tables([noise, docs])
+
+    # one run longer than a slice, then 40 short ones; two short runs are
+    # replayed in the other medium (duplicate seqs across runs)
+    big = SCAN_SLICE + 100
+    cuts = sorted(rng.choice(np.arange(big + 1, n), size=40, replace=False).tolist())
+    parts = [t.slice(a, b - a) for a, b in zip([0, big, *cuts], [big, *cuts, n])]
+    parts += [parts[1], parts[2]]
+    blocks = [_ray.put(wave_rows(p)) for p in parts[::2]]
+    files = []
+    for i, p in enumerate(parts[1::2]):
+        f = str(tmp_path / f"rows_{i}.parquet")
+        pq.write_table(wave_rows(p), f)
+        files.append(f)
+    assert len(blocks) > 10 and len(files) > 10
+
+    for drop in (set(), {int(s) for s in seqs[::37]}):
+        drop_arr = pa.array(sorted(drop), pa.int64())
+        got = list(_ray.get(fuzzy_scan_site.remote(site, thr, blocks, files, drop_arr)))
+        want = list(_fuzzy_scan_tables([t], frozenset(drop)))
+        assert got == want
+        assert got == _naive_fuzzy_scan(t, thr, drop)
+        assert 0 < len(got) < n - len(drop)  # the scan really deduped
 
 
-def test_crawl_exact_with_tiny_fuzzy_spill(ray_session):
-    """End-to-end: the real pipeline with a tiny spill threshold (every wave
-    spills) still matches the sequential oracle exactly."""
+def test_crawl_exact_over_many_small_blocks(ray_session):
+    """End-to-end: a fuzzy-site crawl cut into many small blocks (many
+    runs for the finalize scan's merge) still matches the sequential
+    oracle exactly."""
+    import pyarrow.compute as pc
+    import ray as _ray
+
     from newsray.oracle import run_oracle
     from newsray.pipeline import CrawlPipeline, PipelineConfig
     from newsray.policy import CrawlPolicy
     from newsray.synth import SyntheticWeb, WebParams
 
     params, policy = WebParams(only_sites=("google", "nate")), CrawlPolicy()
-    res = CrawlPipeline(
-        PipelineConfig(web_params=params, policy=policy, fuzzy_spill_rows=32)
-    ).run(streaming_finalize=True)  # the buffer-scan path is the one spilling
+    pipe = CrawlPipeline(
+        PipelineConfig(web_params=params, policy=policy, repartition_blocks=16)
+    )
+    res = pipe.run(streaming_finalize=True)
+
+    def google_docs(t) -> bool:
+        m = pc.and_(pc.equal(t["rowkind"], "doc"), pc.equal(t["site"], "google"))
+        return pc.any(m).as_py()
+
+    runs = [t for t in _ray.get(pipe._wave_blocks) if t.num_rows and google_docs(t)]
+    assert len(runs) >= 8, len(runs)  # the scan merges many google runs
     got = sorted(
         u for b in res["articles_ds"].iter_batches(batch_format="pyarrow")
         for u in b["url"].to_pylist()
     )
     ora = run_oracle(SyntheticWeb(params), policy)
     assert got == sorted(r["url"] for r in ora.articles)
+    pipe.shutdown()
+
+
+def test_pipeline_starts_only_state_actors(ray_session, monkeypatch):
+    """A pipeline starts exactly its seen shards, its schedulers and one
+    metrics actor; a crawl over a fuzzy site, finalize included, starts no
+    further actor. Counts actor creations of newsray classes as the driver
+    submits them (the GCS registers actors asynchronously)."""
+    import ray.actor
+
+    from newsray.pipeline import CrawlPipeline, PipelineConfig
+    from newsray.policy import CrawlPolicy
+    from newsray.synth import WebParams
+
+    started: list[str] = []
+    create = ray.actor.ActorClass._remote
+
+    def counted(cls, *args, **kwargs):
+        meta = cls.__ray_metadata__
+        if meta.modified_class.__module__.startswith("newsray."):
+            started.append(meta.class_name)
+        return create(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ray.actor.ActorClass, "_remote", counted)
+    cfg = PipelineConfig(
+        web_params=WebParams(only_sites=("google",)),
+        policy=CrawlPolicy(max_waves=2),
+        n_seen_shards=3,
+        n_sched_shards=2,
+    )
+    pipe = CrawlPipeline(cfg)
+    assert sorted(started) == ["HostScheduler"] * 2 + ["MetricsActor"] + ["SeenShard"] * 3
+    res = pipe.run(streaming_finalize=True)
+    assert res["articles_ds"].count() > 0
+    assert len(started) == cfg.n_seen_shards + cfg.n_sched_shards + 1
+    pipe.shutdown()
 
 
 def test_task_retry_side_effects_replay_safe(ray_session):
-    """Chaos test: a fetch task dies AFTER its side effects (URL claims,
-    fuzzy pushes) committed; Ray retries the task and the wave protocol must
-    absorb the replay — same-seq claims re-present as wins, fuzzy pushes
-    dedup by seq — so the final output still equals the sequential oracle."""
+    """Chaos test: fetch tasks die mid-wave and Ray retries them, so their
+    URL claims arrive after the rest of the wave's; the claim-with-
+    retraction protocol must still pick each key's minimum seq, and only
+    the retried attempt's rows reach the materialized wave that the fuzzy
+    scan reads — so the final output still equals the sequential oracle."""
     import ray as _ray
 
     from newsray.oracle import run_oracle
