@@ -98,8 +98,6 @@ def bench_crawl_config():
         # blow up past ~80% load — measured 200 s of kicking at 2 shards)
         seen_capacity_per_shard=(1 << 22) // max(2, NCPUS),
         batch_size=None,
-        cand_batch_size=8192,
-        dedup_buckets=64,
         # block fan-out capped at the VM's ~16 effective cores: beyond that,
         # extra blocks only add per-task overhead (32 vCPUs are SMT threads)
         repartition_blocks=4 * min(NCPUS, 16),
@@ -179,7 +177,7 @@ def run_once() -> dict:
         cfg = bench_crawl_config()
         pipe = CrawlPipeline(cfg)
         t0 = time.time()
-        res = pipe.run(streaming_finalize=True)
+        res = pipe.run()
         n_docs = int(res["documents_ds"].count())  # consume the streaming output
         crawl_samples.append(time.time() - t0)
         # actor pools stay reachable through dataset lineage: kill them so

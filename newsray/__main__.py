@@ -97,7 +97,7 @@ def cmd_crawl(args: argparse.Namespace) -> dict:
         checkpoint_dir=args.checkpoint_dir,
         bootstrap_output_dir=args.bootstrap_dir,
     )
-    res = CrawlPipeline(cfg).run(streaming_finalize=True)
+    res = CrawlPipeline(cfg).run()
     write_documents_ds(res["articles_ds"], args.out)
     wall = time.time() - t0
     pages = int(sum(m.get("fetched", 0) for m in res["wave_metrics"]))

@@ -7,9 +7,11 @@ wave persists, under an ATOMIC manifest (write-tmp-then-rename):
 * ``rows/`` — the wave's materialized output, written ONCE: its fetch-log
   rows (seq, url, host, site, virtual release time) unchanged, plus its
   doc, next-page and two-hop frontier rows minus the seqs retracted at the
-  wave barrier. Restore derives the docs, the fetch log and the next
-  frontier from it with the rowkind views the live wave uses
-  (``pipeline.keep_docs`` / ``flog_rows`` / ``to_frontier``);
+  wave barrier. The write coalesces the wave's fetch blocks, so a wave
+  holds about one file per ``pipeline.POST_BARRIER_ROWS`` rows. Restore
+  derives the fetch log and the next frontier from it with the rowkind
+  views the live wave uses (``pipeline.flog_rows`` / ``to_frontier``);
+  finalize reads the docs straight from the files;
 * ``frontier_in.parquet`` — wave 0 only: the driver-side seed frontier
   (every later wave's input is the previous wave's next rows, already in
   that wave's ``rows/``);
@@ -40,6 +42,10 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data
+
+from .pipeline import (
+    FRONTIER_COLS, FRONTIER_SCHEMA, POST_BARRIER_ROWS, flog_rows, to_frontier,
+)
 
 ROUTING_VERSION = "blake2b64-mod"  # shard_of(key) routing; must match on resume
 LAYOUT_VERSION = "rows-v1"  # one rows/ dataset per wave; must match on resume
@@ -126,7 +132,9 @@ def write_wave(
         )
     d = _wave_dir(root, wave)
     os.makedirs(os.path.join(d, "seen"), exist_ok=True)
-    rows.write_parquet(os.path.join(d, "rows"))  # straight from the object store
+    # straight from the object store, the fetch blocks coalesced into files
+    # of at least POST_BARRIER_ROWS rows (one write task each)
+    rows.write_parquet(os.path.join(d, "rows"), min_rows_per_file=POST_BARRIER_ROWS)
     deltas = ray.get(
         [s.dump_since.remote(prev_offsets[i]) for i, s in enumerate(seen_shards)]
     )
@@ -192,14 +200,11 @@ def restore(pipeline, root: str) -> bool:
         raise ValueError(
             f"checkpoint key-routing version {routing!r} != {ROUTING_VERSION!r}"
         )
-    from .pipeline import (
-        FRONTIER_COLS, FRONTIER_SCHEMA, WAVE_SCHEMA, flog_rows, keep_docs, to_frontier,
-    )
-
-    # accumulated docs + fetch logs from all completed waves (lineage
-    # replay) as DATASETS over the checkpoint parquet — a resumed run must
-    # not load the whole accumulated corpus onto the driver (VERDICT r2 #4);
-    # per-wave seen-set DELTAS replay in wave order
+    # accumulated fetch logs from all completed waves (lineage replay) as
+    # DATASETS over the checkpoint parquet, and the rows files finalize
+    # reads the docs from — a resumed run must not load the accumulated
+    # corpus onto the driver (VERDICT r2 #4); per-wave seen-set DELTAS
+    # replay in wave order
     for w in waves:
         files = _rows_files(root, w)
         n, want = _num_rows(files), manifest.get("wave_rows", {}).get(str(w))
@@ -209,16 +214,15 @@ def restore(pipeline, root: str) -> bool:
                 f"manifest records {want} — the checkpoint is damaged"
             )
         if files:
-            rows = ray.data.read_parquet(files)
-            pipeline.doc_tables.append(rows.map_batches(keep_docs, batch_format="pyarrow"))
+            # one block per file: the files are already right-sized, and
+            # Ray's default split of a lone file into several blocks means a
+            # consumer's schema probe cancels the still-running read task
+            rows = ray.data.read_parquet(files, override_num_blocks=len(files))
             pipeline.fetch_logs.append(
                 rows.map_batches(flog_rows, batch_format="pyarrow", fn_kwargs={"wave": w})
             )
-            # finalize_streaming's fuzzy scan reads these waves' doc rows
-            # with a pruned read of the same files
             pipeline._restored_row_files.extend(files)
         else:  # an empty wave
-            pipeline.doc_tables.append(WAVE_SCHEMA.empty_table())
             pipeline.fetch_logs.append(pipeline.FLOG_W_SCHEMA.empty_table())
         d = _wave_dir(root, w)
         with open(os.path.join(d, "metrics.json")) as f:

@@ -42,6 +42,10 @@ Design notes for 10^10-URL scale:
   double-insert into the shards.
 * Every wave checkpoints under an atomic manifest (checkpoint.py): resume
   re-fetches nothing and drops nothing.
+* After the barrier, work is sized by rows, not by the wave's fetch
+  fan-out: finalize's one article map and the checkpoint rows write
+  coalesce the waves' blocks into tasks of ``POST_BARRIER_ROWS`` rows, and
+  the sinks inherit the articles' blocks.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ import ray.data
 from .canonicalize import canonicalize, canonicalize_batch
 from .datefns import within_last_days
 from .extract import (
-    article_spans,
     decode_payload,
     finalize_article,
     make_seq,
@@ -70,7 +73,7 @@ from .oracle import effective_page_cap, make_matcher
 from .policy import CrawlPolicy
 from .seen import WaveMinStage, make_seen_pool
 from .sites import SITE_RANK, SITES
-from .synth import SyntheticWeb, WebParams
+from .synth import WebParams
 from .textfns import KeywordMatcher, fuzzy_is_dup, html_to_text, normalize_for_fuzzy
 
 # unified wave-output schema (the fused fetch+parse stage emits all rowkinds)
@@ -142,6 +145,14 @@ FRONTIER_SCHEMA = pa.schema(
         ("time_raw", pa.string()),
     ]
 )
+
+# Rows per task and per output block after the wave barrier (finalize's
+# article map, the checkpoint rows write). Each Ray task costs 10-30 ms of
+# fixed scheduling and (de)serialization, and a wave block after the
+# fetch fan-out often holds a few hundred rows: one task per such block
+# makes finalize, the checkpoint and both sinks scale with waves x fan-out
+# instead of with the data. At scale the block count is rows / this.
+POST_BARRIER_ROWS = 8192
 
 FETCH_LOG_SCHEMA = pa.schema(
     [
@@ -524,10 +535,10 @@ def make_stripe(k: int):
 
 
 # -- rowkind views of one materialized wave ---------------------------------
-# The live wave (run_wave) and checkpoint restore derive docs, the fetch log
-# and the next frontier from a wave's rows with these same batch functions;
-# ``drop`` is the wave's retracted-seq set (None once rows are checkpointed,
-# which already excludes it).
+# The live wave (run_wave) and checkpoint restore derive the fetch log and
+# the next frontier from a wave's rows with these same batch functions, and
+# finalize derives the docs; ``drop`` is the retracted-seq set (None once
+# rows are checkpointed, which already excludes it).
 
 
 def drop_retracted(b: pa.Table, drop: pa.Array | None = None) -> pa.Table:
@@ -579,8 +590,6 @@ class PipelineConfig:
     n_sched_shards: int = 2
     batch_size: int | None = None  # fetch+parse batch rows; None = one batch
     # per block (repartition_blocks controls task granularity / skew spread)
-    cand_batch_size: int = 8192  # candidate-stage rows per batch
-    dedup_buckets: int = 16
     repartition_blocks: int = 16
     checkpoint_dir: str | None = None
     seen_capacity_per_shard: int = 1 << 18
@@ -622,15 +631,14 @@ class CrawlPipeline:
         self.retracted_seqs: set[int] = set()
         self.wave_metrics: list[dict] = []
         self.fetch_logs: list[pa.Table] = []
-        self.doc_tables: list[pa.Table] = []
         self.start_wave = 0
         self._frontier0: pa.Table | None = None
         self._restored = False
         self._bootstrapped = False
-        # where finalize_streaming's fuzzy scan reads the crawl's doc rows:
-        # the live waves' materialized blocks and the rows files of
+        # where finalize_streaming reads the crawl's doc rows: the live
+        # waves' materialized datasets and the rows files of
         # checkpoint-restored waves (never a driver copy of either)
-        self._wave_blocks: list = []
+        self._wave_ds: list[ray.data.Dataset] = []
         self._restored_row_files: list[str] = []
 
     def dump_seen(self) -> tuple[set, set]:
@@ -695,13 +703,15 @@ class CrawlPipeline:
     # -- one wave -----------------------------------------------------------
 
     def run_wave(self, wave: int, frontier: ray.data.Dataset, n_est: int | None = None):
-        """Returns (docs_ds, next_frontier_ds, flog_ds, rows_ds,
-        n_retracted). All four outputs are DISTRIBUTED rowkind views over
-        the wave's one materialized execution — article rows, fetch-log
-        rows and the next frontier never aggregate on the driver (the
-        driver sees counts and the tiny title-retraction set; per-wave
-        driver state is O(hosts)). ``rows_ds`` is what the wave checkpoints
-        (checkpoint.write_wave); restore rebuilds the other three from it.
+        """Returns (next_frontier_ds, flog_ds, rows_ds, n_retracted). The
+        three outputs are DISTRIBUTED rowkind views over the wave's one
+        materialized execution — fetch-log rows and the next frontier never
+        aggregate on the driver (the driver sees counts and the tiny
+        title-retraction set; per-wave driver state is O(hosts)).
+        ``rows_ds`` is what the wave checkpoints (checkpoint.write_wave);
+        restore rebuilds the fetch log and the next frontier from it. The
+        wave's doc rows stay in its materialized blocks (``_wave_ds``),
+        which finalize_streaming reads.
 
         ONE fused heavy streaming execution per wave, ZERO candidate
         shuffles: schedule (groupby host — the one unavoidable exchange,
@@ -839,8 +849,8 @@ class CrawlPipeline:
             .map_batches(gate_claim_finalize, batch_format="pyarrow")
             .materialize()  # wave barrier: claims + finalize durable
         )
-        # the wave's blocks, for finalize's fuzzy scan (no new execution)
-        self._wave_blocks.extend(parsed.to_arrow_refs())
+        # the wave's blocks, for finalize (no new execution)
+        self._wave_ds.append(parsed)
         # retraction sets, both O(same-wave key collisions), tiny:
         # URL claims overtaken by a lower seq, then the deferred title
         # contention resolved against them (two RPC rounds, driver sees
@@ -862,20 +872,26 @@ class CrawlPipeline:
         # The driver's loop uses the metrics counters as a safe
         # OVER-estimate of its row count (an extra empty wave is a no-op;
         # see run()).
-        def view(fn, **kw):
-            return parsed.map_batches(fn, batch_format="pyarrow", fn_kwargs=kw)
+        def view(fn, batch_size=None, **kw):
+            return parsed.map_batches(
+                fn, batch_format="pyarrow", batch_size=batch_size, fn_kwargs=kw
+            )
 
         return (
-            view(keep_docs, drop=drop),
             view(to_frontier, drop=drop),
-            view(flog_rows, wave=wave),
+            # consumers collect the fetch log (to_arrow_refs), whose schema
+            # probe re-runs the view and stops it at the first block: one
+            # task per POST_BARRIER_ROWS rows leaves no task in flight for
+            # that stop to cancel (such cancels went with Ray driver aborts,
+            # a failed reference-count check in its core worker)
+            view(flog_rows, batch_size=POST_BARRIER_ROWS, wave=wave),
             view(checkpoint_rows, drop=drop),
             len(retracted),
         )
 
     # -- full run -------------------------------------------------------------
 
-    def run(self, frontier: pa.Table | None = None, streaming_finalize: bool = True) -> dict:
+    def run(self, frontier: pa.Table | None = None) -> dict:
         from . import checkpoint as ckpt
 
         cfg = self.cfg
@@ -914,10 +930,7 @@ class CrawlPipeline:
         while n_frontier > 0 and wave < cfg.policy.max_waves:
             if cfg.checkpoint_dir:
                 ckpt.write_frontier_in(cfg.checkpoint_dir, wave, seed)
-            docs, nxt, flog, rows, n_retracted = self.run_wave(
-                wave, frontier, n_est=n_frontier
-            )
-            self.doc_tables.append(docs)
+            nxt, flog, rows, n_retracted = self.run_wave(wave, frontier, n_est=n_frontier)
             self.fetch_logs.append(flog)
             totals = ray.get(self.metrics.wave_totals.remote(wave))
             # Estimate from the (fire-and-forget) counters: normally an
@@ -971,7 +984,7 @@ class CrawlPipeline:
                 cfg.checkpoint_dir,
                 [m for m in self.wave_metrics if m["wave"] >= self.start_wave],
             )
-        return self.finalize_streaming() if streaming_finalize else self.finalize()
+        return self.finalize_streaming()
 
     def shutdown(self) -> None:
         """Kill this pipeline's actor pools (seen shards, schedulers,
@@ -996,62 +1009,37 @@ class CrawlPipeline:
 
     FLOG_W_SCHEMA = pa.schema(list(FETCH_LOG_SCHEMA) + [pa.field("wave", pa.int32())])
 
-    def finalize(self) -> dict:
-        """Materializing finalize (tests / small runs): pulls docs + fetch
-        log to the driver as Arrow tables."""
-        tbls = [
-            t if isinstance(t, pa.Table) else _collect(t, WAVE_SCHEMA)
-            for t in self.doc_tables
-        ]
-        docs = (
-            pa.concat_tables(tbls)
-            if tbls
-            else pa.Table.from_pydict(_empty_wave_dict(), schema=WAVE_SCHEMA)
-        )
-        ftbls = [
-            t if isinstance(t, pa.Table) else _collect(t, self.FLOG_W_SCHEMA)
-            for t in self.fetch_logs
-        ]
-        flog = pa.concat_tables(ftbls) if ftbls else None
-        arts = docs.select(ARTICLE_COLS).sort_by("discovered_seq")
-        arts = _fuzzy_pass(arts)
-        return {
-            "articles": arts,
-            "documents": articles_to_documents(arts),
-            "fetch_log": flog,
-            "wave_metrics": self.wave_metrics,
-        }
-
     def finalize_streaming(self) -> dict:
         """Scale-path finalize: article/document rows never aggregate on the
         driver. The order-dependent fuzzy near-dup scan (sequential by
         reference semantics — SURVEY §7.4/§7.5.2) is ONE task per fuzzy
         site (`fuzzy_scan_site`) over the rows the crawl already holds: the
-        live waves' materialized blocks (object-store refs), the restored
-        waves' checkpoint rows files, and any driver-side doc tables (put
-        in the object store). It returns only the accepted seq set, which
-        a parallel broadcast filter applies inside the one finalize
-        execution; non-fuzzy blocks filter while the scan runs.
+        live waves' materialized blocks (object-store refs) and the
+        restored waves' checkpoint rows files. It returns only the accepted
+        seq set.
+
+        The articles come from the same two sources — a union of the live
+        waves' materialized datasets and a read of the restored rows files
+        — in ONE map, ``final_filter``, over batches of
+        ``POST_BARRIER_ROWS`` rows: doc rows minus the run's retracted
+        seqs, fuzzy sites cut to the accepted seqs, projected to
+        ``ARTS_SCHEMA``. The map starts once the scans are done (waited on
+        here, not inside a map task, where a blocking get would hold a task
+        slot), so every task reads the keep-sets without waiting.
 
         The articles are materialized ONCE, in the object store (never
-        collected to the driver): the two sinks consume them three times
-        (fingerprint, documents write, day-grouped export), and a lazy
-        result would re-run the final filter over every wave's docs — and
-        re-read restored checkpoint files — on each pass. ``documents_ds``
-        is a lazy span pivot over those blocks."""
-        fuzzy_sites = self._fuzzy_sites
-        doc_ds_list = [
-            ray.data.from_arrow(t) if isinstance(t, pa.Table) else t
-            for t in self.doc_tables
-        ] or [ray.data.from_arrow(WAVE_SCHEMA.empty_table())]
-        docs_ds = doc_ds_list[0]
-        for d in doc_ds_list[1:]:
-            docs_ds = docs_ds.union(d)
+        collected to the driver), in about one block per
+        ``POST_BARRIER_ROWS`` input rows: the two sinks consume them three
+        times (fingerprint, documents write, day-grouped export), each pass
+        one task per block. ``documents_ds`` is a lazy span pivot over
+        those blocks."""
+        import numpy as np
 
-        blocks = self._wave_blocks + [
-            ray.put(t) for t in self.doc_tables if isinstance(t, pa.Table) and t.num_rows
-        ]
-        drop = pa.array(sorted(self.retracted_seqs), pa.int64())
+        fuzzy_sites = self._fuzzy_sites
+        drop = (
+            pa.array(sorted(self.retracted_seqs), pa.int64()) if self.retracted_seqs else None
+        )
+        blocks = [r for d in self._wave_ds for r in d.to_arrow_refs()]
         # the threshold is passed from the driver, which sees dynamically
         # registered plugin sites in SITES
         kept_refs = [
@@ -1062,19 +1050,27 @@ class CrawlPipeline:
         ]
 
         def final_filter(b: pa.Table) -> pa.Table:
+            b = keep_docs(b, drop)
             if kept_refs and b.num_rows:
                 is_f = pc.is_in(b["site"], value_set=fuzzy_sites)
                 if pc.any(is_f).as_py():
-                    import numpy as np
-
-                    kept = pa.array(
-                        np.concatenate(ray.get(kept_refs)), pa.int64()
-                    )
+                    kept = pa.array(np.concatenate(ray.get(kept_refs)), pa.int64())
                     ok = pc.is_in(b["discovered_seq"], value_set=kept)
                     b = b.filter(pc.or_(pc.invert(is_f), ok))
             return b.select(ARTICLE_COLS).cast(ARTS_SCHEMA)
 
-        arts_ds = docs_ds.map_batches(final_filter, batch_format="pyarrow").materialize()
+        files = self._restored_row_files
+        sources = list(self._wave_ds)
+        if files:
+            sources.append(ray.data.read_parquet(files, override_num_blocks=len(files)))
+        if not sources:
+            sources.append(ray.data.from_arrow(WAVE_SCHEMA.empty_table()))
+        rows = sources[0].union(*sources[1:]) if len(sources) > 1 else sources[0]
+        if kept_refs:
+            ray.wait(kept_refs, num_returns=len(kept_refs), fetch_local=False)
+        arts_ds = rows.map_batches(
+            final_filter, batch_format="pyarrow", batch_size=POST_BARRIER_ROWS
+        ).materialize()
         _hs = {s: c.has_summary for s, c in SITES.items()}  # driver snapshot
         documents_ds = arts_ds.map_batches(
             lambda b, hs=_hs: _spans_batch(b, hs), batch_format="pyarrow"
@@ -1097,11 +1093,10 @@ ARTS_SCHEMA = pa.schema(
 class RunResult(dict):
     """``finalize_streaming``'s result. The dataset keys (``articles_ds``,
     ``documents_ds``, ``fetch_logs``) are real entries; the legacy
-    materializing keys of the ``finalize()`` shape (``articles``,
-    ``documents``, ``fetch_log``) are computed ON FIRST ACCESS and cached —
-    so ``run()`` can default to the streaming finalize while driver-side
-    materialization stays strictly opt-in (a scale consumer that only reads
-    the ``*_ds`` keys never triggers a collect).
+    driver-table keys (``articles``, ``documents``, ``fetch_log``) are
+    computed ON FIRST ACCESS and cached — driver-side materialization stays
+    strictly opt-in (a scale consumer that only reads the ``*_ds`` keys
+    never triggers a collect).
 
     The lazy keys behave like real entries for every dict idiom, not just
     ``[]``: ``in`` / ``get`` / iteration / ``len`` / ``keys`` all see them
@@ -1174,7 +1169,7 @@ SCAN_COLS = ["discovered_seq", "title"]
 SCAN_SLICE = 8192  # rows per Arrow slice a scan run is read in
 
 
-def _fuzzy_scan_runs(thr: int, runs: list[pa.Table], drop: pa.Array) -> "np.ndarray":
+def _fuzzy_scan_runs(thr: int, runs: list[pa.Table], drop: pa.Array | None) -> "np.ndarray":
     """The order-dependent fuzzy near-dup scan of ONE site: sequential
     first-accepted-wins in discovered_seq order — the reference's scan
     order, threshold verbatim — over a k-way MERGE of seq-sorted runs
@@ -1213,7 +1208,7 @@ def _fuzzy_scan_runs(thr: int, runs: list[pa.Table], drop: pa.Array) -> "np.ndar
 
 @ray.remote
 def fuzzy_scan_site(
-    site: str, thr: int, blocks: list, row_files: list[str], drop: pa.Array
+    site: str, thr: int, blocks: list, row_files: list[str], drop: pa.Array | None
 ) -> "np.ndarray":
     """One fuzzy site's finalize scan as a plain task: one seq-sorted run
     per wave block (object-store refs, fetched one at a time and cut to the
@@ -1233,43 +1228,6 @@ def fuzzy_scan_site(
         for f in row_files
     ]
     return _fuzzy_scan_runs(thr, runs, drop)
-
-
-def _fuzzy_scan_tables(
-    tables: list[pa.Table], drop: frozenset = frozenset()
-) -> "np.ndarray":
-    """`_fuzzy_scan_runs` over driver-side (site, discovered_seq, title)
-    tables: one run per site, with that site's threshold; returns every
-    site's accepted seqs."""
-    import numpy as np
-
-    live = [t for t in tables if t.num_rows]
-    if not live:
-        return np.empty(0, dtype=np.int64)
-    t = pa.concat_tables(live)
-    drop_arr = pa.array(sorted(drop), pa.int64())
-    return np.concatenate(
-        [
-            _fuzzy_scan_runs(
-                SITES[site].fuzzy_threshold,
-                [t.filter(pc.equal(t["site"], site)).sort_by("discovered_seq")],
-                drop_arr,
-            )
-            for site in pc.unique(t["site"]).to_pylist()
-        ]
-    )
-
-
-def _fuzzy_pass(arts: pa.Table) -> pa.Table:
-    """Order-dependent fuzzy title dedup of driver-side article rows
-    (SURVEY §7.5.2): fuzzy-enabled sites keep only the rows the scan
-    accepts; other sites pass through."""
-    fuzzy = pa.array([s for s, c in SITES.items() if c.fuzzy_dedup], pa.string())
-    is_f = pc.is_in(arts["site"], value_set=fuzzy)
-    kept = pa.array(_fuzzy_scan_tables([arts.filter(is_f)]), pa.int64())
-    return arts.filter(
-        pc.or_(pc.invert(is_f), pc.is_in(arts["discovered_seq"], value_set=kept))
-    )
 
 
 def _spans_batch(b: pa.Table, has_summary: dict | None = None) -> pa.Table:

@@ -496,9 +496,8 @@ def value_percentiles(sf_dir: str):
 def _bracket_sort_select(ds, lo: float, hi: float, k: int) -> float:
     """Exact (k)-th 0-based finite value in the open bracket (lo, hi) by a
     distributed sort of the bracket's rows only: filter → range sort →
-    per-block counts from BLOCK METADATA (O(blocks) ints on the driver) →
-    fetch the one block holding offset k."""
-    import ray
+    walk the sorted batches in order with a running offset, stopping at
+    the batch that holds offset k."""
 
     def in_bracket(b: pa.Table, lo=lo, hi=hi) -> pa.Table:
         v = pc.drop_null(b["value"]).to_numpy(zero_copy_only=False)
@@ -507,15 +506,10 @@ def _bracket_sort_select(ds, lo: float, hi: float, k: int) -> float:
 
     sub = ds.map_batches(in_bracket, batch_format="pyarrow").sort("value").materialize()
     off = int(k)
-    for bundle in sub.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            cnt = int(meta.num_rows)
-            if off < cnt:
-                blk = ray.get(ref)
-                if not isinstance(blk, pa.Table):
-                    blk = pa.Table.from_pandas(blk, preserve_index=False)
-                return float(blk["value"][off].as_py())
-            off -= cnt
+    for b in sub.iter_batches(batch_size=None, batch_format="pyarrow"):
+        if off < b.num_rows:
+            return float(b["value"][off].as_py())
+        off -= b.num_rows
     raise RuntimeError(
         f"bracket selection ran past the data (k={k}, bracket=({lo}, {hi})) — "
         "rank bookkeeping is inconsistent"

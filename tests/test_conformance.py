@@ -149,7 +149,7 @@ def test_rerun_idempotence(ray_session):
 
 
 def test_streaming_finalize_matches_oracle_without_driver_collect(ray_session, monkeypatch):
-    """The scale path: run(streaming_finalize=True) must (a) produce exactly
+    """The scale path: run() must (a) produce exactly
     the oracle's article set and span rows, and (b) never pull frontier /
     doc / title rows to the driver — `pipeline._collect` is forbidden on the
     whole wave + streaming-finalize path (fuzzy dedup runs in a keyed
@@ -162,7 +162,7 @@ def test_streaming_finalize_matches_oracle_without_driver_collect(ray_session, m
     monkeypatch.setattr(pl, "_collect", _no_collect)
     params, policy = WebParams(only_sites=MINI_SITES), CrawlPolicy()
     pipe = CrawlPipeline(PipelineConfig(web_params=params, policy=policy))
-    res = pipe.run(streaming_finalize=True)
+    res = pipe.run()
     arts = res["articles_ds"].to_pandas()
     ora = run_oracle(SyntheticWeb(params), policy)
     got = sorted(zip(arts["discovered_seq"], arts["url"], arts["title"]))

@@ -131,7 +131,7 @@ def test_write_documents_ds_partitioned(ray_session, tmp_path):
     res = CrawlPipeline(
         PipelineConfig(web_params=WebParams(only_sites=("fnnews", "gukje")),
                        policy=CrawlPolicy())
-    ).run(streaming_finalize=True)
+    ).run()
     out = str(tmp_path / "docs")
     write_documents_ds(res["articles_ds"], out)
     parts = sorted(
@@ -225,7 +225,7 @@ def test_write_documents_ds_resume_skips_finished_partitions(ray_session, tmp_pa
     res = CrawlPipeline(
         PipelineConfig(web_params=WebParams(only_sites=("fnnews", "gukje")),
                        policy=CrawlPolicy())
-    ).run(streaming_finalize=True)
+    ).run()
     out = str(tmp_path / "docs")
     arts_tbl = res["articles_ds"].materialize()
     write_documents_ds(arts_tbl, out)

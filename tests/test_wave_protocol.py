@@ -86,11 +86,37 @@ def test_stripe_spreads_cost_classes():
         assert sl == sorted(sl)  # relative order preserved (stable)
 
 
+def _fuzzy_scan_tables(tables: list[pa.Table], drop: frozenset = frozenset()):
+    """Reference caller of the finalize scan loop over driver-side (site,
+    discovered_seq, title) tables: one run per site, with that site's
+    threshold; returns every site's accepted seqs."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    from newsray.pipeline import _fuzzy_scan_runs
+    from newsray.sites import SITES
+
+    live = [t for t in tables if t.num_rows]
+    if not live:
+        return np.empty(0, dtype=np.int64)
+    t = pa.concat_tables(live)
+    drop_arr = pa.array(sorted(drop), pa.int64())
+    return np.concatenate(
+        [
+            _fuzzy_scan_runs(
+                SITES[site].fuzzy_threshold,
+                [t.filter(pc.equal(t["site"], site)).sort_by("discovered_seq")],
+                drop_arr,
+            )
+            for site in pc.unique(t["site"]).to_pylist()
+        ]
+    )
+
+
 def test_fuzzy_scan_tables_replay_and_retraction_safe():
     """The finalize scan dedupes replayed pushes (same seq twice — task
     retries / repeated finalize) and excludes retracted seqs, preserving
     the sequential first-accepted-wins semantics."""
-    from newsray.pipeline import _fuzzy_scan_tables
     from newsray.sites import SITES
 
     site = next(s for s, c in SITES.items() if c.fuzzy_dedup)
@@ -163,7 +189,7 @@ def test_fuzzy_scan_task_merges_block_and_file_runs(ray_session, tmp_path):
     import pyarrow.parquet as pq
     import ray as _ray
 
-    from newsray.pipeline import SCAN_SLICE, _fuzzy_scan_tables, fuzzy_scan_site
+    from newsray.pipeline import SCAN_SLICE, fuzzy_scan_site
     from newsray.sites import SITES
 
     site = next(s for s, c in SITES.items() if c.fuzzy_dedup)
@@ -246,13 +272,14 @@ def test_crawl_exact_over_many_small_blocks(ray_session):
     pipe = CrawlPipeline(
         PipelineConfig(web_params=params, policy=policy, repartition_blocks=16)
     )
-    res = pipe.run(streaming_finalize=True)
+    res = pipe.run()
 
     def google_docs(t) -> bool:
         m = pc.and_(pc.equal(t["rowkind"], "doc"), pc.equal(t["site"], "google"))
         return pc.any(m).as_py()
 
-    runs = [t for t in _ray.get(pipe._wave_blocks) if t.num_rows and google_docs(t)]
+    blocks = [r for d in pipe._wave_ds for r in d.to_arrow_refs()]
+    runs = [t for t in _ray.get(blocks) if t.num_rows and google_docs(t)]
     assert len(runs) >= 8, len(runs)  # the scan merges many google runs
     got = sorted(
         u for b in res["articles_ds"].iter_batches(batch_format="pyarrow")
@@ -292,7 +319,7 @@ def test_pipeline_starts_only_state_actors(ray_session, monkeypatch):
     )
     pipe = CrawlPipeline(cfg)
     assert sorted(started) == ["HostScheduler"] * 2 + ["MetricsActor"] + ["SeenShard"] * 3
-    res = pipe.run(streaming_finalize=True)
+    res = pipe.run()
     assert res["articles_ds"].count() > 0
     assert len(started) == cfg.n_seen_shards + cfg.n_sched_shards + 1
     pipe.shutdown()
