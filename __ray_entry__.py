@@ -39,12 +39,12 @@ def entry() -> Any:
         web_params=WebParams(only_sites=("nate", "naver", "skydaily")),
         policy=CrawlPolicy(),
     )
-    crawl_docs = CrawlPipeline(cfg).run()["documents"]
+    crawl_docs = CrawlPipeline(cfg).run()["documents_ds"]
 
     flat = rd.read_parquet(
         "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text", "source"]
     ).map_batches(spanify_batch, batch_format="pyarrow")
-    return rd.from_arrow(crawl_docs).union(flat)
+    return crawl_docs.union(flat)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

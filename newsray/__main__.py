@@ -21,6 +21,7 @@ re-submitted job resumes from the last completed wave (no re-fetch).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -66,7 +67,12 @@ def cmd_crawl(args: argparse.Namespace) -> dict:
     import ray
 
     if not ray.is_initialized():
-        kwargs = {"include_dashboard": False, "logging_level": "ERROR"}
+        # worker log lines stay in the session logs, off the driver
+        kwargs = {
+            "include_dashboard": False,
+            "logging_level": "ERROR",
+            "log_to_driver": False,
+        }
         if args.num_cpus:
             kwargs["num_cpus"] = args.num_cpus
         ray.init(address=os.environ.get("RAY_ADDRESS", "local"), **kwargs)
@@ -114,15 +120,20 @@ def cmd_crawl(args: argparse.Namespace) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    out = cmd_crawl(args)
+    # stdout carries only the JSON summary line. The driver's error-listener
+    # thread prints raylet warnings ("N PYTHON worker processes have been
+    # started") to sys.stdout whatever log_to_driver says, so the whole Ray
+    # session runs with stdout pointed at stderr.
+    with contextlib.redirect_stdout(sys.stderr):
+        out = cmd_crawl(args)
+        try:
+            import ray
+
+            ray.shutdown()
+        except Exception:
+            pass  # a flaky shutdown must not fail a finished job
     print(json.dumps(out))
     sys.stdout.flush()
-    try:
-        import ray
-
-        ray.shutdown()
-    except Exception:
-        pass  # a flaky shutdown must not fail a finished job
     return 0
 
 

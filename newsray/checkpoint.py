@@ -223,7 +223,9 @@ def restore(pipeline, root: str) -> bool:
             )
             pipeline._restored_row_files.extend(files)
         else:  # an empty wave
-            pipeline.fetch_logs.append(pipeline.FLOG_W_SCHEMA.empty_table())
+            pipeline.fetch_logs.append(
+                ray.data.from_arrow(pipeline.FLOG_W_SCHEMA.empty_table())
+            )
         d = _wave_dir(root, w)
         with open(os.path.join(d, "metrics.json")) as f:
             pipeline.wave_metrics.append(json.load(f))

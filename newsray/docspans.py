@@ -2,20 +2,24 @@
 (BASELINE.json input_hint shape: doc_id:string +
 spans:list<struct<kind,text,media_ref,offset>>).
 
-The crawl pipeline produces this table natively (pipeline.articles_to_documents);
+The crawl pipeline produces this table natively (its ``documents_ds``);
 this module produces the same shape from the driver's flat `documents`
 parquet, so the two sources union into one corpus (see __ray_entry__.entry).
 
 For the driver's DuckDB gate the registered queries return the EXPLODED
 flat view (doc_id, span_offset, kind, text, media_ref) — every column a SQL
 type — while the nested list<struct> shape remains the pipeline's product
-(entry(), pipeline.articles_to_documents, sink.write_documents)."""
+(entry(), ``documents_ds``, sink.write_documents_ds). The crawl queries
+read the crawl's production outputs — ``articles_ds``, the ``documents_ds``
+span pivot, the per-wave ``fetch_logs`` and the files
+``sink.day_grouped_export_ds`` writes — so the gate checks the paths that
+run."""
 
 from __future__ import annotations
 
 import pyarrow as pa
 
-from .golden import CRAWL_SITES, golden_sql, spans_exploded
+from .golden import CRAWL_SITES, DAY_GROUPS_SCHEMA, golden_sql
 from .registry import register
 from .schema import DOCUMENTS, SPAN_STRUCT
 from .tabular import read
@@ -107,10 +111,6 @@ def _mini_crawl() -> dict:
     return _CRAWL_CACHE[key]
 
 
-def _mini_crawl_articles() -> pa.Table:
-    return _mini_crawl()["articles"]
-
-
 @register("crawl_articles", sql=golden_sql("crawl_articles"))
 def crawl_articles(sf_dir: str):
     """The flagship crawl's flat article table (every column a SQL type),
@@ -118,7 +118,7 @@ def crawl_articles(sf_dir: str):
     oracle crawler (oracle.run_oracle — an independent implementation; the
     dump mechanics live in golden.py). sf_dir-independent: the crawl's input
     is the deterministic synthetic frontier (BASELINE.json north_star)."""
-    return _mini_crawl_articles()
+    return _mini_crawl()["articles_ds"]
 
 
 @register("crawl_documents", sql=golden_sql("crawl_documents"))
@@ -126,10 +126,12 @@ def crawl_documents(sf_dir: str):
     """The flagship crawl end-to-end, returned as span-EXPLODED interleaved
     document rows (doc_id, span_offset, kind, text, media_ref) and
     hash-diffed against the sequential oracle's span dump — the per-row
-    span-sequence invariant (kind, text, media_ref, order) as a driver gate,
-    on top of the pytest conformance suite."""
-    arts = _mini_crawl_articles()
-    return spans_exploded(arts.to_pylist())
+    span-sequence invariant (kind, text, media_ref, order) of the crawl's
+    own ``documents_ds`` pivot as a driver gate, on top of the pytest
+    conformance suite."""
+    return _mini_crawl()["documents_ds"].map_batches(
+        explode_spans_batch, batch_format="pyarrow"
+    )
 
 
 @register("crawl_fetch_log", sql=golden_sql("crawl_fetch_log"))
@@ -139,8 +141,8 @@ def crawl_fetch_log(sf_dir: str):
     recompute of the per-host virtual clock over the oracle's fetch order
     (golden.golden_crawl_fetch_log). Covers the released_at_virtual spacing
     invariant the actorized HostScheduler enforces distributed."""
-    flog = _mini_crawl()["fetch_log"]
-    return flog.select(
+    logs = _mini_crawl()["fetch_logs"]
+    return logs[0].union(*logs[1:]).select_columns(
         ["wave", "site", "host", "canon_url", "discovered_seq", "released_at_virtual"]
     )
 
@@ -165,46 +167,48 @@ def crawl_refsites_articles(sf_dir: str):
             web_params=WebParams(fixture_dir=REFSITES_DIR), policy=CrawlPolicy()
         )
         _CRAWL_CACHE[key] = CrawlPipeline(cfg).run()
-    return _CRAWL_CACHE[key]["articles"]
+    return _CRAWL_CACHE[key]["articles_ds"]
+
+
+def read_day_groups(out_dir: str) -> pa.Table:
+    """The day-grouped JSON files of an export dir, exploded flat to
+    ``golden.DAY_GROUPS_SCHEMA`` rows in file order: sites sorted, day
+    groups and articles in their stored order (``pos_in_group`` is the
+    list index), iso times parsed, an omitted summary null."""
+    import json
+    import os
+    from datetime import datetime
+
+    from .sites import SITES
+
+    rows = []
+    for site in sorted(SITES):
+        with open(os.path.join(out_dir, f"{site}_News.json"), encoding="utf-8") as f:
+            for g in json.load(f):
+                for pos, a in enumerate(g["articles"]):
+                    rows.append(
+                        {
+                            **a,
+                            "site": site,
+                            "date_group": g["date"],
+                            "pos_in_group": pos,
+                            "time": datetime.fromisoformat(a["time"]),
+                        }
+                    )
+    return pa.Table.from_pylist(rows, schema=DAY_GROUPS_SCHEMA)
 
 
 @register("crawl_day_groups", sql=golden_sql("crawl_day_groups"))
 def crawl_day_groups(sf_dir: str):
-    """The reference's day-grouped per-site export (SURVEY K1/K2/O1/O2)
-    exploded flat — (site, date_group, pos_in_group, article fields) — and
-    hash-diffed against an independent plain-dict recompute of the save-time
-    grouping over the oracle's accepted articles."""
-    from .pipeline import day_grouped
-    from .sites import SITES
+    """The reference's day-grouped per-site export (SURVEY K1/K2/O1/O2): the
+    crawl's articles through ``sink.day_grouped_export_ds`` into a temp dir,
+    read back flat — (site, date_group, pos_in_group, article fields) — and
+    hash-diffed against an independent plain-dict recompute of the
+    save-time grouping over the oracle's accepted articles."""
+    import tempfile
 
-    groups = day_grouped(_mini_crawl()["articles"])
-    rows: list[dict] = []
-    for g in groups:
-        has_summary = SITES[g["site"]].has_summary
-        for pos, a in enumerate(g["articles"]):
-            rows.append(
-                {
-                    "site": g["site"],
-                    "date_group": g["date"],
-                    "pos_in_group": pos,
-                    "title": a["title"],
-                    "time": a["time"],
-                    "img": a["img"],
-                    "url": a["url"],
-                    "original_url": a["original_url"],
-                    "summary": a["summary"] if has_summary else None,
-                }
-            )
-    return pa.table(
-        {
-            "site": pa.array([r["site"] for r in rows], pa.string()),
-            "date_group": pa.array([r["date_group"] for r in rows], pa.string()),
-            "pos_in_group": pa.array([r["pos_in_group"] for r in rows], pa.int32()),
-            "title": pa.array([r["title"] for r in rows], pa.string()),
-            "time": pa.array([r["time"] for r in rows], pa.timestamp("us")),
-            "img": pa.array([r["img"] for r in rows], pa.string()),
-            "url": pa.array([r["url"] for r in rows], pa.string()),
-            "original_url": pa.array([r["original_url"] for r in rows], pa.string()),
-            "summary": pa.array([r["summary"] for r in rows], pa.string()),
-        }
-    )
+    from .sink import day_grouped_export_ds
+
+    with tempfile.TemporaryDirectory() as d:
+        day_grouped_export_ds(_mini_crawl()["articles_ds"], d)
+        return read_day_groups(d)

@@ -518,14 +518,28 @@ def golden_crawl_refsites_articles(sf_dir: str) -> pa.Table:
     return _articles_table(run_oracle(web, CrawlPolicy()).articles)
 
 
-def golden_crawl_day_groups(sf_dir: str) -> pa.Table:
-    """K1/K2/O1/O2 (day-grouped sink) behind the driver gate: an independent
-    plain-dict recompute of the reference's save-time grouping — group by
-    (site, date label), in-group order time-desc (stable) for sort-in-group
-    sites else discovery order, groups sorted by date — exploded flat."""
+DAY_GROUPS_SCHEMA = pa.schema(
+    [
+        ("site", pa.string()),
+        ("date_group", pa.string()),
+        ("pos_in_group", pa.int32()),
+        ("title", pa.string()),
+        ("time", pa.timestamp("us")),
+        ("img", pa.string()),
+        ("url", pa.string()),
+        ("original_url", pa.string()),
+        ("summary", pa.string()),
+    ]
+)
+
+
+def day_groups_table(arts: list[dict]) -> pa.Table:
+    """An independent plain-dict recompute of the reference's save-time
+    grouping over article dicts — group by (site, date label), in-group
+    order time-desc (stable) for sort-in-group sites else discovery order,
+    groups sorted by date — exploded flat to ``DAY_GROUPS_SCHEMA`` rows."""
     from .sites import SITES
 
-    arts = _oracle_articles()
     groups: dict[tuple[str, str], list[dict]] = {}
     for a in arts:
         groups.setdefault((a["site"], a["date_group"]), []).append(a)
@@ -539,30 +553,19 @@ def golden_crawl_day_groups(sf_dir: str) -> pa.Table:
         for pos, a in enumerate(g):
             rows.append(
                 {
-                    "site": site,
+                    **a,
                     "date_group": dg,
                     "pos_in_group": pos,
-                    "title": a["title"],
-                    "time": a["time"],
-                    "img": a["img"],
-                    "url": a["url"],
-                    "original_url": a["original_url"],
                     "summary": a["summary"] if SITES[site].has_summary else None,
                 }
             )
-    return pa.table(
-        {
-            "site": pa.array([r["site"] for r in rows], pa.string()),
-            "date_group": pa.array([r["date_group"] for r in rows], pa.string()),
-            "pos_in_group": pa.array([r["pos_in_group"] for r in rows], pa.int32()),
-            "title": pa.array([r["title"] for r in rows], pa.string()),
-            "time": pa.array([r["time"] for r in rows], pa.timestamp("us")),
-            "img": pa.array([r["img"] for r in rows], pa.string()),
-            "url": pa.array([r["url"] for r in rows], pa.string()),
-            "original_url": pa.array([r["original_url"] for r in rows], pa.string()),
-            "summary": pa.array([r["summary"] for r in rows], pa.string()),
-        }
-    )
+    return pa.Table.from_pylist(rows, schema=DAY_GROUPS_SCHEMA)
+
+
+def golden_crawl_day_groups(sf_dir: str) -> pa.Table:
+    """K1/K2/O1/O2 (day-grouped sink) behind the driver gate: the oracle's
+    accepted articles through `day_groups_table`."""
+    return day_groups_table(_oracle_articles())
 
 
 # ---------------------------------------------------------------------------

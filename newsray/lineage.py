@@ -1,11 +1,12 @@
 """Lineage/metrics collector actor (north_rule: per-partition lineage +
-metrics). Stage functions push ONE batched increment RPC per batch,
-FIRE-AND-FORGET: a synchronous ``ray.get`` serialized every wave task
-through this one actor's queue (measured ~30% of crawl wall at bench
-scale). Counters are diagnostics; the wave loop's terminate-on-empty
+metrics). Stage functions push ONE batched increment RPC per batch
+(``incr_many``, the actor's one write method), FIRE-AND-FORGET: a
+synchronous ``ray.get`` serialized every wave task through this one
+actor's queue (measured ~30% of crawl wall at bench scale). Counters are diagnostics; the wave loop's terminate-on-empty
 decision confirms zero with an exact data-plane count, and ``run()``
 re-reads the totals after the last barrier so the recorded wave_metrics
-cannot under-report from delivery lag (pipeline.py)."""
+cannot under-report from delivery lag (pipeline.py). ``wave_totals``
+serves the wave loop; ``snapshot`` serves the benchmark harness."""
 
 from __future__ import annotations
 
@@ -18,9 +19,6 @@ import ray
 class MetricsActor:
     def __init__(self) -> None:
         self.counters: dict = defaultdict(int)
-
-    def incr(self, wave: int, name: str, n: int) -> None:
-        self.counters[(wave, name)] += n
 
     def incr_many(self, wave: int, counts: dict) -> None:
         for name, n in counts.items():

@@ -53,7 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from urllib.parse import urlparse
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -1010,8 +1009,8 @@ class CrawlPipeline:
     FLOG_W_SCHEMA = pa.schema(list(FETCH_LOG_SCHEMA) + [pa.field("wave", pa.int32())])
 
     def finalize_streaming(self) -> dict:
-        """Scale-path finalize: article/document rows never aggregate on the
-        driver. The order-dependent fuzzy near-dup scan (sequential by
+        """The crawl's one finalize: article/document rows never aggregate
+        on the driver. The order-dependent fuzzy near-dup scan (sequential by
         reference semantics — SURVEY §7.4/§7.5.2) is ONE task per fuzzy
         site (`fuzzy_scan_site`) over the rows the crawl already holds: the
         live waves' materialized blocks (object-store refs) and the
@@ -1032,7 +1031,12 @@ class CrawlPipeline:
         ``POST_BARRIER_ROWS`` input rows: the two sinks consume them three
         times (fingerprint, documents write, day-grouped export), each pass
         one task per block. ``documents_ds`` is a lazy span pivot over
-        those blocks."""
+        those blocks.
+
+        Returns a plain dict of datasets and diagnostics: ``articles_ds``,
+        ``documents_ds``, ``fetch_logs`` (one Dataset per wave, restored
+        waves included) and ``wave_metrics``. No driver-table form exists;
+        a caller that needs tables reads the datasets."""
         import numpy as np
 
         fuzzy_sites = self._fuzzy_sites
@@ -1075,94 +1079,17 @@ class CrawlPipeline:
         documents_ds = arts_ds.map_batches(
             lambda b, hs=_hs: _spans_batch(b, hs), batch_format="pyarrow"
         )
-        return RunResult(
-            {
-                "articles_ds": arts_ds,
-                "documents_ds": documents_ds,
-                "fetch_logs": self.fetch_logs,
-                "wave_metrics": self.wave_metrics,
-            }
-        )
+        return {
+            "articles_ds": arts_ds,
+            "documents_ds": documents_ds,
+            "fetch_logs": self.fetch_logs,
+            "wave_metrics": self.wave_metrics,
+        }
 
 
 ARTS_SCHEMA = pa.schema(
     [(name, WAVE_SCHEMA.field(name).type) for name in ARTICLE_COLS]
 )
-
-
-class RunResult(dict):
-    """``finalize_streaming``'s result. The dataset keys (``articles_ds``,
-    ``documents_ds``, ``fetch_logs``) are real entries; the legacy
-    driver-table keys (``articles``, ``documents``, ``fetch_log``) are
-    computed ON FIRST ACCESS and cached — driver-side materialization stays
-    strictly opt-in (a scale consumer that only reads the ``*_ds`` keys
-    never triggers a collect).
-
-    The lazy keys behave like real entries for every dict idiom, not just
-    ``[]``: ``in`` / ``get`` / iteration / ``len`` / ``keys`` all see them
-    (``in``/``keys``/``len`` without materializing; ``get``/``items``/
-    ``values`` materialize like ``[]`` does — they hand out the value).
-    One caveat a subclass cannot fix: a RAW ``dict(res)`` copy uses
-    CPython's dict fast path and sees only realized entries — copy with
-    ``{k: res[k] for k in res}`` if the legacy keys must ride along."""
-
-    _LAZY = ("articles", "documents", "fetch_log")
-
-    def __contains__(self, key) -> bool:
-        return dict.__contains__(self, key) or key in self._LAZY
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError as e:
-            # a KeyError for a DIFFERENT key was raised while materializing
-            # a lazy value (e.g. the backing 'fetch_logs' entry is missing):
-            # that is a broken invariant, not an absent key — surface it
-            if e.args and e.args[0] != key:
-                raise
-            return default
-
-    def __iter__(self):
-        yield from dict.__iter__(self)
-        yield from (k for k in self._LAZY if not dict.__contains__(self, k))
-
-    def __len__(self) -> int:
-        return dict.__len__(self) + sum(
-            1 for k in self._LAZY if not dict.__contains__(self, k)
-        )
-
-    # real LIVE views (set algebra on keys works; items/values hand out the
-    # value, materializing lazy entries on iteration exactly like [])
-    def keys(self):
-        from collections.abc import KeysView
-
-        return KeysView(self)
-
-    def items(self):
-        from collections.abc import ItemsView
-
-        return ItemsView(self)
-
-    def values(self):
-        from collections.abc import ValuesView
-
-        return ValuesView(self)
-
-    def __missing__(self, key):
-        if key == "articles":
-            v = _collect(self["articles_ds"], ARTS_SCHEMA).sort_by("discovered_seq")
-        elif key == "documents":
-            v = articles_to_documents(self["articles"])
-        elif key == "fetch_log":
-            ftbls = [
-                t if isinstance(t, pa.Table) else _collect(t, CrawlPipeline.FLOG_W_SCHEMA)
-                for t in self["fetch_logs"]
-            ]
-            v = pa.concat_tables(ftbls) if ftbls else None
-        else:
-            raise KeyError(key)
-        self[key] = v
-        return v
 
 
 SCAN_COLS = ["discovered_seq", "title"]
@@ -1230,17 +1157,16 @@ def fuzzy_scan_site(
     return _fuzzy_scan_runs(thr, runs, drop)
 
 
-def _spans_batch(b: pa.Table, has_summary: dict | None = None) -> pa.Table:
+def _spans_batch(b: pa.Table, has_summary: dict) -> pa.Table:
     """Flat article rows → interleaved span rows, built COLUMNARLY: flat
     kind/text/media_ref/offset arrays + one ListArray.from_arrays — ~6× the
     per-row dict construction (`extract.article_spans` stays the semantic
     definition; conformance tests assert byte-equality against it).
 
     ``has_summary`` is the site→flag map captured in the DRIVER process:
-    when this runs as a worker-side map_batches UDF, dynamically registered
+    this runs as a worker-side map_batches UDF, and dynamically registered
     plugin sites exist only in the driver's SITES dict, so the caller must
-    snapshot it (falls back to this process's SITES for driver-local
-    calls)."""
+    snapshot it."""
     from .schema import DOCUMENTS, SPAN_STRUCT
 
     n = b.num_rows
@@ -1248,11 +1174,6 @@ def _spans_batch(b: pa.Table, has_summary: dict | None = None) -> pa.Table:
         return pa.Table.from_pydict(
             {"doc_id": [], "spans": []}, schema=DOCUMENTS
         )
-    _hs = (
-        has_summary
-        if has_summary is not None
-        else {s: c.has_summary for s, c in SITES.items()}
-    )
     sites = b["site"].to_pylist()
     titles = b["title"].to_pylist()
     times = b["time"].to_pylist()
@@ -1269,7 +1190,7 @@ def _spans_batch(b: pa.Table, has_summary: dict | None = None) -> pa.Table:
         k = 0
         kinds.append("title"); texts.append(titles[i]); refs.append(""); offs.append(k); k += 1
         kinds.append("time"); texts.append(times[i].isoformat()); refs.append(""); offs.append(k); k += 1
-        if _hs[sites[i]] and summaries[i]:
+        if has_summary[sites[i]] and summaries[i]:
             kinds.append("summary"); texts.append(summaries[i]); refs.append(""); offs.append(k); k += 1
         if imgs[i]:
             kinds.append("image"); texts.append(""); refs.append(imgs[i]); offs.append(k); k += 1
@@ -1289,67 +1210,3 @@ def _spans_batch(b: pa.Table, has_summary: dict | None = None) -> pa.Table:
     return pa.Table.from_arrays(
         [pa.array(urls, pa.string()), spans], schema=DOCUMENTS
     )
-
-
-def articles_to_documents(arts: pa.Table) -> pa.Table:
-    """Span pivot: flat article rows → interleaved documents rows
-    (input_hint schema). Large tables pivot in parallel via a short Ray
-    map_batches; small ones locally."""
-    from .schema import DOCUMENTS
-
-    if arts.num_rows > 20000 and ray.is_initialized():
-        hs = {s: c.has_summary for s, c in SITES.items()}  # driver snapshot
-        ds = (
-            ray.data.from_arrow(arts)
-            .repartition(16)
-            .map_batches(
-                lambda b: _spans_batch(b, hs),
-                batch_format="pyarrow",
-                batch_size=8192,
-            )
-        )
-        return _collect(ds, DOCUMENTS)
-    return _spans_batch(arts)
-
-
-def day_grouped(arts: pa.Table) -> list[dict]:
-    """The reference's day-grouped sink shape (A1/O1): one entry per
-    (site, date_group); articles time-desc within the group for
-    sort-in-group sites, else discovery order."""
-    df = arts.to_pandas()
-    out = []
-    for (site, dg), g in sorted(
-        df.groupby(["site", "date_group"]), key=lambda kv: (kv[0][0], kv[0][1])
-    ):
-        cfg = SITES[site]
-        if cfg.sort_in_group:
-            g = g.sort_values("time", ascending=False, kind="mergesort")
-        else:
-            g = g.sort_values("discovered_seq", kind="mergesort")
-        out.append(
-            {
-                "site": site,
-                "date": dg,
-                "articles": g.drop(columns=["date_group"]).to_dict("records"),
-            }
-        )
-    return out
-
-
-def _collect(ds: ray.data.Dataset, schema: pa.Schema) -> pa.Table:
-    refs = ds.to_arrow_refs()
-    blocks = ray.get(refs)
-    tables = []
-    for t in blocks:
-        if isinstance(t, pd.DataFrame):  # empty/edge blocks can come back pandas
-            if len(t) == 0:
-                continue
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_rows > 0:
-            tables.append(t)
-    if not tables:
-        return pa.Table.from_pydict({n: [] for n in schema.names}, schema=schema)
-    out = pa.concat_tables(
-        [t.select(schema.names) for t in tables], promote_options="permissive"
-    )
-    return out.cast(schema)

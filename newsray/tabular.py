@@ -3,8 +3,6 @@ star schema (TESTDATA.md). All readers prune columns at the read."""
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
@@ -75,10 +73,6 @@ def day_str(ts_series) -> np.ndarray:
     return ts_series.to_numpy().astype("datetime64[D]").astype(str)
 
 
-def md5_utf8(values: list[str]) -> list[str]:
-    return [hashlib.md5(v.encode("utf-8")).hexdigest() for v in values]
-
-
 def round_col(batch: pa.Table, col: str, digits: int) -> pa.Table:
     """Round a float column half-away-from-zero, matching SQL ROUND (numpy
     rounds half-to-even, which would disagree with the DuckDB oracle)."""
@@ -117,11 +111,6 @@ def n_buckets(min_b: int = 32, size_bytes: int | None = None) -> int:
     while b < target:
         b <<= 1
     return b
-
-
-def sql_tag(op_id: str) -> str:
-    """Marker comment embedded in oracle SQL for traceability to SURVEY §2."""
-    return f"-- newsray operator {op_id}\n"
 
 
 def idempotent_partitioned_build(out_dir: str, want: dict, build_fn) -> str:

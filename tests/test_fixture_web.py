@@ -11,6 +11,7 @@ import os
 import shutil
 
 import pytest
+from conftest import tables
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -106,13 +107,12 @@ def test_fixture_web_pipeline_matches_oracle(ray_session, fixture_dir):
     res = pipe.run()
     ora = run_oracle(build_web(params), policy)
 
-    flog = res["fetch_log"]
+    arts, docs, flog = tables(res)
     got = sorted(zip(flog["discovered_seq"].to_pylist(), flog["canon_url"].to_pylist()))
     assert got == ora.fetch_order()
     # listing + the ONE relevant article's detail fetch (others 404 / dropped)
     assert len(got) >= 2
 
-    arts = res["articles"]
     assert sorted(arts["url"].to_pylist()) == sorted(r["url"] for r in ora.articles)
     assert arts.num_rows == 1  # exactly the ≥2-include, no-exclude candidate
     rec = arts.to_pylist()[0]
@@ -122,7 +122,7 @@ def test_fixture_web_pipeline_matches_oracle(ray_session, fixture_dir):
     assert rec["img"].endswith("2025041801.jpg")
 
     # span-sequence invariant holds on real HTML too
-    docs = res["documents"].to_pylist()
+    docs = docs.to_pylist()
     assert len(docs) == 1
     kinds = [s["kind"] for s in docs[0]["spans"]]
     assert kinds == ["title", "time", "summary", "image", "link"]

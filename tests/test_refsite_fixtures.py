@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 
 import pytest
+from conftest import tables
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "refsites")
 
@@ -83,29 +84,28 @@ def _crawl(only_sites):
     from newsray.webfixture import build_web
 
     ora = run_oracle(build_web(params), policy)
-    return res, ora
+    arts, _, flog = tables(res)
+    return arts, flog, ora
 
 
 @pytest.mark.parametrize("site", sorted(EXPECTED))
 def test_refsite_pipeline_matches_oracle(refsites, site):
-    res, ora = _crawl((site,))
-    flog = res["fetch_log"]
+    arts, flog, ora = _crawl((site,))
     got_order = sorted(
         zip(flog["discovered_seq"].to_pylist(), flog["canon_url"].to_pylist())
     )
     assert got_order == ora.fetch_order()
-    got_urls = sorted(res["articles"]["url"].to_pylist())
+    got_urls = sorted(arts["url"].to_pylist())
     assert got_urls == sorted(r["url"] for r in ora.articles)
     assert set(got_urls) == EXPECTED[site], site
     # every accepted article parsed a real timestamp and carries its site
-    arts = res["articles"].to_pylist()
-    assert all(a["time"] is not None and a["site"] == site for a in arts)
+    assert all(a["time"] is not None and a["site"] == site for a in arts.to_pylist())
 
 
 def test_refsite_all_ten_one_run(refsites):
     """All ten fixture sites in ONE crawl (cross-site seq interleaving)."""
-    res, ora = _crawl(tuple(sorted(EXPECTED)))
-    got = sorted(res["articles"]["url"].to_pylist())
+    arts, _, ora = _crawl(tuple(sorted(EXPECTED)))
+    got = sorted(arts["url"].to_pylist())
     assert got == sorted(r["url"] for r in ora.articles)
     want = sorted(u for urls in EXPECTED.values() for u in urls)
     assert got == want
@@ -113,8 +113,8 @@ def test_refsite_all_ten_one_run(refsites):
 
 def test_refsite_selector_details(refsites):
     """Pin the per-field extraction the selectors exist for."""
-    res, _ = _crawl(("r_daum", "r_google", "r_naver"))
-    by_url = {a["url"]: a for a in res["articles"].to_pylist()}
+    arts, _, _ = _crawl(("r_daum", "r_google", "r_naver"))
+    by_url = {a["url"]: a for a in arts.to_pylist()}
     # daum: data-title URL-decode fallback produced the real title
     assert by_url["https://real.daum.test/v/202"]["title"] == "정상회담 앞둔 북한 동향"
     # daum: og:image present → meta content wins; absent → thumbnail fallback

@@ -6,6 +6,7 @@ import json
 import os
 
 import pytest
+from conftest import tables
 
 
 def test_get_existing_links_tolerance(tmp_path):
@@ -40,15 +41,15 @@ def first_run(ray_session, tmp_path_factory):
     """One mini crawl + its day-grouped JSON export."""
     from newsray.pipeline import CrawlPipeline, PipelineConfig
     from newsray.policy import CrawlPolicy
-    from newsray.sink import day_grouped_export
+    from newsray.sink import day_grouped_export_ds
     from newsray.synth import WebParams
 
     params = WebParams(only_sites=("nate", "naver"))
     policy = CrawlPolicy()
     res = CrawlPipeline(PipelineConfig(web_params=params, policy=policy)).run()
     out_dir = str(tmp_path_factory.mktemp("dayjson"))
-    day_grouped_export(res["articles"], out_dir)
-    return params, policy, res, out_dir
+    day_grouped_export_ds(res["articles_ds"], out_dir)
+    return params, policy, tables(res)[0], out_dir
 
 
 def test_bootstrap_rerun_matches_preseeded_oracle(first_run):
@@ -62,26 +63,26 @@ def test_bootstrap_rerun_matches_preseeded_oracle(first_run):
     from newsray.pipeline import CrawlPipeline, PipelineConfig
     from newsray.synth import SyntheticWeb
 
-    params, policy, res1, out_dir = first_run
-    assert res1["articles"].num_rows > 0
+    params, policy, arts1, out_dir = first_run
+    assert arts1.num_rows > 0
 
     pipe2 = CrawlPipeline(
         PipelineConfig(web_params=params, policy=policy, bootstrap_output_dir=out_dir)
     )
-    res2 = pipe2.run()
-    assert res2["articles"].num_rows < res1["articles"].num_rows
+    arts2, _, flog2 = tables(pipe2.run())
+    assert arts2.num_rows < arts1.num_rows
     # listings still fetched (the reference re-fetches everything)
-    assert res2["fetch_log"].num_rows > 0
+    assert flog2.num_rows > 0
 
     # full equivalence with the oracle under the same pre-seeded seen set
-    pre = {(s, u) for s, u in zip(res1["articles"]["site"].to_pylist(),
-                                  res1["articles"]["url"].to_pylist())}
+    pre = {(s, u) for s, u in zip(arts1["site"].to_pylist(),
+                                  arts1["url"].to_pylist())}
     ora = run_oracle(SyntheticWeb(params), policy, pre_seen_urls=pre)
-    assert sorted(res2["articles"]["url"].to_pylist()) == sorted(
+    assert sorted(arts2["url"].to_pylist()) == sorted(
         r["url"] for r in ora.articles
     )
-    po = sorted(zip(res2["fetch_log"]["discovered_seq"].to_pylist(),
-                    res2["fetch_log"]["canon_url"].to_pylist()))
+    po = sorted(zip(flog2["discovered_seq"].to_pylist(),
+                    flog2["canon_url"].to_pylist()))
     assert po == ora.fetch_order()
 
 
@@ -92,7 +93,7 @@ def test_bootstrap_tolerates_one_corrupt_site_file(first_run, tmp_path):
 
     from newsray.pipeline import CrawlPipeline, PipelineConfig
 
-    params, policy, res1, out_dir = first_run
+    params, policy, arts1, out_dir = first_run
     broken = str(tmp_path / "broken")
     shutil.copytree(out_dir, broken)
     with open(os.path.join(broken, "nate_News.json"), "w") as f:
@@ -101,10 +102,10 @@ def test_bootstrap_tolerates_one_corrupt_site_file(first_run, tmp_path):
     pipe = CrawlPipeline(
         PipelineConfig(web_params=params, policy=policy, bootstrap_output_dir=broken)
     )
-    res = pipe.run()
-    sites = set(res["articles"]["site"].to_pylist())
+    arts = tables(pipe.run())[0]
+    sites = set(arts["site"].to_pylist())
     # nate re-emits (its seen set reset), naver stays suppressed
-    n1_nate = sum(1 for s in res1["articles"]["site"].to_pylist() if s == "nate")
+    n1_nate = sum(1 for s in arts1["site"].to_pylist() if s == "nate")
     assert sites == ({"nate"} if n1_nate else set())
-    n_nate = sum(1 for s in res["articles"]["site"].to_pylist() if s == "nate")
+    n_nate = sum(1 for s in arts["site"].to_pylist() if s == "nate")
     assert n_nate == n1_nate

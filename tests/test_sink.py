@@ -1,52 +1,53 @@
-"""Sink tests: partitioned documents layout, day-grouped JSON export (K1/K2),
-capped newest feed (K3/O3)."""
+"""Sink tests: the partitioned documents writer (layout, manifest, resume)
+and the day-grouped JSON export (K1/K2)."""
 
 import json
 import os
+import shutil
 import tempfile
 
 import pytest
+from conftest import tables
 
+from newsray.golden import day_groups_table
+from newsray.oracle import run_oracle
 from newsray.pipeline import CrawlPipeline, PipelineConfig
 from newsray.policy import CrawlPolicy
-from newsray.sink import day_grouped_export, newest_feed, read_documents, write_documents
+from newsray.sink import day_grouped_export_ds, read_documents, write_documents_ds
 from newsray.sites import SITES
-from newsray.synth import WebParams
+from newsray.synth import SyntheticWeb, WebParams
+
+PARAMS = WebParams(only_sites=("nate", "naver", "google", "voa"))
 
 
 @pytest.fixture(scope="module")
-def arts(ray_session):
-    pipe = CrawlPipeline(
-        PipelineConfig(
-            web_params=WebParams(only_sites=("nate", "naver", "google", "voa")),
-            policy=CrawlPolicy(),
-        )
-    )
-    return pipe.run()["articles"]
+def res(ray_session):
+    return CrawlPipeline(PipelineConfig(web_params=PARAMS, policy=CrawlPolicy())).run()
 
 
-def test_partitioned_documents_roundtrip(arts):
+@pytest.fixture(scope="module")
+def arts(res):
+    return tables(res)[0]
+
+
+def test_partitioned_documents_roundtrip(res, arts):
     with tempfile.TemporaryDirectory() as d:
         out = os.path.join(d, "docs")
-        written = write_documents(arts, out)
-        # backend-agnostic: lance when a wheel is present, parquet otherwise
-        from newsray.sink import DOCUMENTS_BACKEND
-
-        ext = ".lance" if DOCUMENTS_BACKEND == "lance" else ".parquet"
-        assert written and all(p.endswith(ext) for p in written)
+        write_documents_ds(res["articles_ds"], out)
         # hive-partitioned by site/day + completion manifest
-        assert any("site=nate" in p for p in written)
         manifest = json.load(open(os.path.join(out, "_manifest.json")))
-        assert len(manifest["parts"]) == len(written)
+        assert any(p.startswith("site=nate/") for p in manifest["parts"])
+        for label in manifest["parts"]:
+            assert any(f.endswith(".parquet") for f in os.listdir(os.path.join(out, label)))
         assert manifest["run_id"]  # run-scoped skip-list (resume soundness)
         back = read_documents(out)
         assert back.num_rows == arts.num_rows
-        assert set(back.column_names) >= {"doc_id", "spans"}
+        assert set(back.column_names) >= {"doc_id", "spans", "site", "day"}
 
 
-def test_day_grouped_export_shape(arts):
+def test_day_grouped_export_shape(res):
     with tempfile.TemporaryDirectory() as d:
-        paths = day_grouped_export(arts, d)
+        paths = day_grouped_export_ds(res["articles_ds"], d)
         assert set(paths) == set(SITES)  # K2: every site file exists
         nate = json.load(open(paths["nate"], encoding="utf-8"))
         assert isinstance(nate, list) and nate
@@ -60,42 +61,6 @@ def test_day_grouped_export_shape(arts):
         assert any("summary" in a for d_ in naver for a in d_["articles"])
         # empty site (not crawled) → well-formed []
         assert json.load(open(paths["fnnews"])) == []
-
-
-def test_newest_feed_cap_order_dedup(arts):
-    feed = newest_feed(arts, cap=50)
-    assert feed.num_rows == min(50, arts.num_rows)
-    times = feed["time"].to_pylist()
-    assert times == sorted(times, reverse=True)
-    urls = feed["url"].to_pylist()
-    assert len(urls) == len(set(urls))
-
-
-def test_merge_feed_load_prepend_dedup_cap(tmp_path):
-    """utils.js semantics: load existing → prepend new → link-dedup (new
-    wins) → cap 50 → rewrite; corrupt/missing files reset to empty."""
-    import json
-
-    from newsray.sink import merge_feed
-
-    feed = tmp_path / "news.json"
-    # missing file → feed is just the new items
-    out = merge_feed([{"link": "u1", "title": "a"}], str(feed))
-    assert [i["link"] for i in out] == ["u1"]
-    # prepend + dedup by link: the NEW copy of u1 wins, order new-first
-    out = merge_feed(
-        [{"link": "u2", "title": "b"}, {"link": "u1", "title": "a2"}], str(feed)
-    )
-    assert [i["link"] for i in out] == ["u2", "u1"]
-    assert out[1]["title"] == "a2"
-    assert json.loads(feed.read_text())[0]["link"] == "u2"
-    # cap at 50 newest
-    out = merge_feed([{"link": f"n{i}"} for i in range(60)], str(feed))
-    assert len(out) == 50 and out[0]["link"] == "n0"
-    # corrupt file recovers (Google_Crawler.py:135-138 shape)
-    feed.write_text("{not json")
-    out = merge_feed([{"link": "x"}], str(feed))
-    assert [i["link"] for i in out] == ["x"]
 
 
 def test_keyword_config_roundtrip(tmp_path):
@@ -163,21 +128,22 @@ def test_job_entrypoint_crawl(tmp_path):
         timeout=300,
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
-    summary = json.loads(r.stdout.strip().splitlines()[-1])
+    lines = r.stdout.splitlines()
+    assert len(lines) == 1, r.stdout  # no log line ahead of the summary
+    summary = json.loads(lines[0])
     assert summary["cmd"] == "crawl" and summary["pages_fetched"] > 0
     back = read_documents(out_dir)
     assert back.num_rows > 0
     assert {"doc_id", "spans", "site", "day"} <= set(back.column_names)
 
 
-def test_write_documents_resume_skips_finished_partitions(arts, tmp_path):
+def test_write_documents_resume_skips_finished_partitions(res, arts, tmp_path):
     """Interrupted-export resume: partitions committed to _manifest.json are
-    SKIPPED on re-run (file mtimes untouched), unfinished ones written."""
+    SKIPPED on re-run (their files untouched), unfinished ones written."""
     import time as _time
 
     out = str(tmp_path / "docs")
-    written = write_documents(arts, out)
-    assert written
+    write_documents_ds(res["articles_ds"], out)
     manifest_path = os.path.join(out, "_manifest.json")
     mani = json.load(open(manifest_path))
     full = mani["parts"]
@@ -186,30 +152,28 @@ def test_write_documents_resume_skips_finished_partitions(arts, tmp_path):
     # manifest (same run_id) and delete the corresponding data dirs
     keep, redo = full[: len(full) // 2], full[len(full) // 2 :]
     assert keep and redo
-    import shutil
-
     for label in redo:
         shutil.rmtree(os.path.join(out, label))
     with open(manifest_path, "w") as f:
         json.dump({"run_id": mani["run_id"], "parts": keep}, f)
-    mtimes_before = {
-        label: os.path.getmtime(os.path.join(out, label)) for label in keep
-    }
+
+    def mtimes(labels):
+        return {
+            os.path.join(label, fn): os.path.getmtime(os.path.join(out, label, fn))
+            for label in labels
+            for fn in os.listdir(os.path.join(out, label))
+        }
+
+    before = mtimes(keep)
     _time.sleep(0.05)
 
-    rewritten = write_documents(arts, out)  # resume
-    # only the missing partitions were written
-    assert len(rewritten) == len(redo)
-    for label in keep:
-        assert os.path.getmtime(os.path.join(out, label)) == mtimes_before[label]
+    write_documents_ds(res["articles_ds"], out)  # resume
+    # finished partitions untouched, the missing ones written again
+    assert mtimes(keep) == before
+    assert all(os.listdir(os.path.join(out, label)) for label in redo)
     # manifest back to the full set; data complete
     assert sorted(json.load(open(manifest_path))["parts"]) == sorted(full)
     assert read_documents(out).num_rows == arts.num_rows
-
-    # a DIFFERENT article set aimed at the same dir must refuse loudly
-    # (silently skipping its rows is data loss, silently rewriting is dup)
-    with pytest.raises(RuntimeError, match="DIFFERENT run"):
-        write_documents(arts.slice(0, arts.num_rows - 1), out)
 
 
 def test_write_documents_ds_resume_skips_finished_partitions(ray_session, tmp_path):
@@ -220,7 +184,6 @@ def test_write_documents_ds_resume_skips_finished_partitions(ray_session, tmp_pa
     from newsray.synth import WebParams
 
     import pyarrow.parquet as pq
-    import shutil
 
     res = CrawlPipeline(
         PipelineConfig(web_params=WebParams(only_sites=("fnnews", "gukje")),
@@ -255,14 +218,6 @@ def test_write_documents_ds_resume_skips_finished_partitions(ray_session, tmp_pa
     assert sorted(json.load(open(manifest_path))["parts"]) == full
     assert pq.read_table(out).num_rows == n_total
 
-    # crash simulation B: dirs deleted too (classic partial loss)
-    for label in redo:
-        shutil.rmtree(os.path.join(out, label))
-    with open(manifest_path, "w") as f:
-        json.dump({"run_id": mani["run_id"], "parts": keep}, f)
-    write_documents_ds(arts_tbl, out)
-    assert pq.read_table(out).num_rows == n_total
-
     # a DIFFERENT dataset aimed at the same dir must refuse loudly
     import pytest
 
@@ -270,77 +225,55 @@ def test_write_documents_ds_resume_skips_finished_partitions(ray_session, tmp_pa
         write_documents_ds(arts_tbl.limit(arts_tbl.count() - 1), out)
 
 
-def test_legacy_manifest_rewrites_instead_of_refusing(arts, tmp_path):
+def test_legacy_manifest_rewrites_instead_of_refusing(res, arts, tmp_path):
     """A legacy bare-list _manifest.json carries no run identity: the
-    export must treat it like a corrupt manifest (clean unmanifested dirs,
-    rewrite everything) rather than raising — re-exporting the identical
-    article set into a pre-upgrade output dir must just work."""
+    export treats it like a corrupt manifest (clean unmanifested dirs,
+    rewrite everything, keep none of its labels) rather than raising. A
+    pre-csum dict manifest names a run_id this export can never match, so
+    it refuses like any other run's export."""
     out = str(tmp_path / "docs")
-    written = write_documents(arts, out)
-    assert written
+    write_documents_ds(res["articles_ds"], out)
     manifest_path = os.path.join(out, "_manifest.json")
     parts = json.load(open(manifest_path))["parts"]
     with open(manifest_path, "w") as f:
-        json.dump(parts, f)  # downgrade to the legacy bare-list shape
-    rewritten = write_documents(arts, out)  # no RuntimeError
-    assert len(rewritten) == len(parts)  # no resume info → full rewrite
+        json.dump(parts + ["site=gone/day=gone"], f)  # legacy bare-list shape
+    write_documents_ds(res["articles_ds"], out)  # no RuntimeError
     assert sorted(json.load(open(manifest_path))["parts"]) == sorted(parts)
     assert read_documents(out).num_rows == arts.num_rows
 
+    with open(manifest_path, "w") as f:
+        json.dump({"run_id": "0123456789abcdef", "parts": parts}, f)  # pre-csum id
+    with pytest.raises(RuntimeError, match="DIFFERENT run"):
+        write_documents_ds(res["articles_ds"], out)
 
-def test_run_fingerprint_content_sensitive(arts, tmp_path):
+
+def test_run_fingerprint_content_sensitive(res, arts, tmp_path):
     """Two article sets with the IDENTICAL discovered_seq population but
     different content must fingerprint as different runs (else finished
     partitions holding stale rows are silently skipped on re-export)."""
     import pyarrow as pa
+    import ray.data as rd
 
     out = str(tmp_path / "docs")
-    write_documents(arts, out)
+    write_documents_ds(res["articles_ds"], out)
     i = arts.column_names.index("url")
     urls = arts["url"].to_pylist()
     urls[0] = urls[0] + "?v=2"  # same seq population, one changed row
     changed = arts.set_column(i, "url", pa.array(urls, arts.schema.field("url").type))
     with pytest.raises(RuntimeError, match="DIFFERENT run"):
-        write_documents(changed, out)
+        write_documents_ds(rd.from_arrow(changed), out)
 
 
-def test_day_grouped_export_ds_matches_table_path(arts, tmp_path):
-    """The distributed per-site writers must produce byte-identical JSON to
-    the driver (reference-parity) path."""
-    import ray.data as rd
+def test_day_grouped_export_ds_matches_oracle(res, tmp_path):
+    """The per-site JSON files equal an independent plain-dict recompute
+    of the reference's save-time grouping over the sequential oracle's
+    articles: group membership and order, in-group order, every field."""
+    from newsray.docspans import read_day_groups
 
-    from newsray.sink import day_grouped_export_ds
-
-    d1, d2 = str(tmp_path / "t"), str(tmp_path / "ds")
-    p1 = day_grouped_export(arts, d1)
-    p2 = day_grouped_export_ds(rd.from_arrow(arts), d2)
-    assert set(p1) == set(p2) == set(SITES)
-    for site in SITES:
-        with open(p1[site], "rb") as a, open(p2[site], "rb") as b:
-            assert a.read() == b.read(), site
-
-
-def test_precsum_manifest_rewrites_instead_of_refusing(arts, tmp_path):
-    """A pre-upgrade DICT manifest (run_id fingerprinted from the seq
-    population only, before the content csum was folded in) identifies the
-    same seq stats but unverifiable content: the export must treat it like
-    the bare-list legacy shape — clean + full rewrite — not refuse with
-    'DIFFERENT run' on the identical article set."""
-    import json as _json
-
-    from newsray.sink import _legacy_fingerprint
-
-    out = str(tmp_path / "docs")
-    written = write_documents(arts, out)
-    manifest_path = os.path.join(out, "_manifest.json")
-    parts = _json.load(open(manifest_path))["parts"]
-    seqs = arts["discovered_seq"].to_pylist()
-    old_id = _legacy_fingerprint(len(seqs), min(seqs), max(seqs), sum(seqs))
-    with open(manifest_path, "w") as f:
-        _json.dump({"run_id": old_id, "parts": parts}, f)  # pre-csum shape
-    rewritten = write_documents(arts, out)  # no RuntimeError
-    assert len(rewritten) == len(written)  # no resume info → full rewrite
-    assert read_documents(out).num_rows == arts.num_rows
+    day_grouped_export_ds(res["articles_ds"], str(tmp_path))
+    want = day_groups_table(run_oracle(SyntheticWeb(PARAMS), CrawlPolicy()).articles)
+    assert want.num_rows > 0
+    assert read_day_groups(str(tmp_path)).to_pylist() == want.to_pylist()
 
 
 def test_day_grouped_export_ds_empty_and_plugin_site(ray_session, arts, tmp_path):

@@ -6,6 +6,7 @@ class — no Ray session needed."""
 from __future__ import annotations
 
 import pyarrow as pa
+from conftest import tables
 
 from newsray.seen import SeenShard
 
@@ -359,32 +360,14 @@ def test_task_retry_side_effects_replay_safe(ray_session):
     ).run()
     assert _ray.get(inj.count.remote()) >= 3  # injections actually fired
     ora = run_oracle(SyntheticWeb(params), policy)
-    got = sorted(zip(res["fetch_log"]["discovered_seq"].to_pylist(),
-                     res["fetch_log"]["canon_url"].to_pylist()))
+    arts, _, flog = tables(res)
+    got = sorted(zip(flog["discovered_seq"].to_pylist(),
+                     flog["canon_url"].to_pylist()))
     # fetch-log rows from killed attempts are re-emitted by the retry; the
     # LOG may carry replays (lineage is at-least-once) but the accepted
     # ARTICLE set must be exactly the oracle's
     assert sorted(set(got)) == ora.fetch_order()
-    assert sorted(res["articles"]["url"].to_pylist()) == sorted(
+    assert sorted(arts["url"].to_pylist()) == sorted(
         r["url"] for r in ora.articles
     )
     _ray.kill(inj)
-
-
-def test_runresult_dict_idioms(ray_session):
-    """The streaming RunResult's lazy legacy keys must be visible to every
-    dict idiom — .get / in / iteration / len / keys — not just [], so code
-    written against the old finalize() dict keeps working unchanged."""
-    import pyarrow as pa
-
-    from newsray.pipeline import RunResult
-
-    r = RunResult({"articles_ds": None, "fetch_logs": []})
-    assert "articles" in r and "documents" in r and "fetch_log" in r
-    assert "nope" not in r
-    assert set(r.keys()) >= {"articles_ds", "articles", "documents", "fetch_log"}
-    assert len(r) == len(list(r)) == 5
-    assert r.get("nope") is None and r.get("nope", 7) == 7
-    # fetch_log materializes through .get exactly like [] (empty logs → None)
-    assert r.get("fetch_log", "sentinel") is None
-    assert dict.__contains__(r, "fetch_log")  # cached after access
