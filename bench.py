@@ -126,11 +126,10 @@ def run_once() -> dict:
         num_cpus=NCPUS,
         include_dashboard=False,
         logging_level="ERROR",
-        # the driver contract is ONE parseable JSON line on stdout: raylet
-        # advisories (e.g. "N worker processes have been started") are
-        # relayed by the log monitor onto the driver's stdout and have
-        # landed in front of the JSON line — keep worker/raylet logs off
-        # the driver entirely (they still go to /tmp/ray session logs)
+        # worker/raylet logs stay in the Ray session logs, not on the
+        # driver. This alone does not keep stdout clean: Ray's driver error
+        # listener prints advisories to fd 1 whatever this flag says, so
+        # `_claim_stdout` points fd 1 at stderr for the whole run
         log_to_driver=False,
     )
     from ray.data import DataContext

@@ -56,6 +56,7 @@ MIN_TOKENS = 20
 MIN_STOP_RATIO = 0.05
 
 VERDICTS = ("lang", "quality", "exact_dup", "near_dup", "kept")
+VERDICT_SCHEMA = {"doc_id": pa.int64(), "verdict": pa.string()}
 
 
 def _stage12(b: pa.Table) -> pa.Table:
@@ -109,7 +110,7 @@ def _exact_bucket(g: pd.DataFrame) -> pa.Table:
 @register("corpus_clean", sql=golden_sql("corpus_clean"))
 def corpus_clean(sf_dir: str):
     from .dedup_ops import minhash_pairs_ds, pairs_to_clusters
-    from .tabular import n_buckets
+    from .tabular import bucket_join, n_buckets
 
     ds = read(sf_dir, "documents", ["doc_id", "text"])
     tagged = ds.map_batches(_stage12, batch_format="pyarrow").materialize()
@@ -164,45 +165,17 @@ def corpus_clean(sf_dir: str):
     clusters = pairs_to_clusters(minhash_pairs_ds(winners, size_bytes=surv_bytes))
     B = n_buckets(size_bytes=surv_bytes)
 
-    def winner_side(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "jb": pc.cast(pc.bit_wise_and(b["doc_id"], pa.scalar(B - 1)), pa.int64()),
-                "doc_id": pc.cast(b["doc_id"], pa.int64()),
-                "is_keeper": pa.nulls(b.num_rows, pa.bool_()),
-            }
-        )
+    def split(w: pd.DataFrame, marks: pd.DataFrame) -> pd.DataFrame:
+        near = marks.loc[~marks["is_keeper"], "doc_id"]
+        return w.assign(verdict=np.where(w["doc_id"].isin(near), "near_dup", "kept"))
 
-    def cluster_side(b) -> pa.Table:
-        if isinstance(b, pd.DataFrame):  # clusters may come back as pandas
-            b = pa.Table.from_pandas(b, preserve_index=False)
-        return pa.Table.from_pydict(
-            {
-                "jb": pc.cast(pc.bit_wise_and(b["doc_id"], pa.scalar(B - 1)), pa.int64()),
-                "doc_id": pc.cast(b["doc_id"], pa.int64()),
-                "is_keeper": b["is_keeper"],
-            }
-        )
-
-    def split(g: pd.DataFrame) -> pa.Table:
-        # returns ARROW so the final union's sort sees one block type
-        marks = g[g["is_keeper"].notna()]
-        near = set(marks.loc[~marks["is_keeper"].astype(bool), "doc_id"])
-        docs = g.loc[g["is_keeper"].isna(), "doc_id"]
-        return pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(docs.astype("int64").to_numpy(), pa.int64()),
-                "verdict": pa.array(
-                    np.where(docs.isin(near), "near_dup", "kept"), pa.string()
-                ),
-            }
-        )
-
-    joined = (
-        winners.map_batches(winner_side, batch_format="pyarrow")
-        .union(clusters.map_batches(cluster_side, batch_format="pyarrow"))
-        .groupby("jb")
-        .map_groups(split, batch_format="pandas")
+    joined = bucket_join(
+        (winners, {"doc_id": pa.int64()}),
+        (clusters, {"doc_id": pa.int64(), "is_keeper": pa.bool_()}),
+        "doc_id",
+        B,
+        split,
+        VERDICT_SCHEMA,
     )
 
     # NO global sort: it was comparison-only (VERDICT r2) — the driver's

@@ -28,6 +28,9 @@ import pyarrow.compute as pc
 from .registry import register
 from .tabular import read
 
+DOC_ID = {"doc_id": pa.int64()}
+PAIR = {"doc_a": pa.int64(), "doc_b": pa.int64()}
+
 # ---------------------------------------------------------------------------
 # exact dedup (D1: first-writer-wins on content identity)
 # ---------------------------------------------------------------------------
@@ -205,7 +208,7 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
     Returns verified pairs (doc_a < doc_b, jaccard ≥ 0.5). Shared by
     `dedup_minhash_lsh` (whole corpus) and `cleanse.corpus_clean` (the
     post-filter survivor set)."""
-    from .tabular import n_buckets
+    from .tabular import bucket_join, n_buckets
 
     a, b = _perm_params()
     B = n_buckets(size_bytes=size_bytes)
@@ -263,62 +266,27 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
 
     # -- re-join members with their texts (bucketed hash join by doc_id) ----
     def members(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        member = pa.concat_arrays(
-            [b["doc_a"].combine_chunks(), b["doc_b"].combine_chunks()]
-        )
-        rep = lambda col: pa.concat_arrays([col.combine_chunks()] * 2)  # noqa: E731
-        return pa.Table.from_pydict(
+        doc_a, doc_b = b["doc_a"].combine_chunks(), b["doc_b"].combine_chunks()
+        return pa.table(
             {
-                "jb": pc.cast(pc.bit_wise_and(member, pa.scalar(B - 1)), pa.int64()),
-                "member": member,
-                "doc_a": rep(b["doc_a"]),
-                "doc_b": rep(b["doc_b"]),
-                "text": pa.nulls(2 * n, pa.string()),
+                "doc_id": pa.concat_arrays([doc_a, doc_b]),
+                "doc_a": pa.concat_arrays([doc_a, doc_a]),
+                "doc_b": pa.concat_arrays([doc_b, doc_b]),
             }
         )
 
-    def corpus_side(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "jb": pc.cast(pc.bit_wise_and(b["doc_id"], pa.scalar(B - 1)), pa.int64()),
-                "member": b["doc_id"],
-                "doc_a": pa.nulls(b.num_rows, pa.int64()),
-                "doc_b": pa.nulls(b.num_rows, pa.int64()),
-                "text": b["text"],
-            }
-        )
-
-    def attach_text(g: pd.DataFrame) -> pd.DataFrame:
-        mem = g[g["doc_a"].notna()].drop_duplicates(["doc_a", "doc_b", "member"])
-        if len(mem) == 0:
-            # typed empty ARROW block: an empty pandas object column trips
-            # Ray's block size estimator (np.vectorize on size-0) and logs
-            # "Error calculating size for column 'text'" once per empty group
-            return pa.Table.from_pydict(
-                {
-                    "doc_a": pa.array([], pa.int64()),
-                    "doc_b": pa.array([], pa.int64()),
-                    "member": pa.array([], pa.int64()),
-                    "text": pa.array([], pa.string()),
-                    "pb": pa.array([], pa.int64()),
-                }
-            )
-        txt = dict(zip(g.loc[g["doc_a"].isna(), "member"], g.loc[g["doc_a"].isna(), "text"]))
-        from .tabular import from_pandas_clean
-
-        out = mem[["doc_a", "doc_b", "member"]].copy()
-        out["doc_a"] = out["doc_a"].astype("int64")
-        out["doc_b"] = out["doc_b"].astype("int64")
-        out["text"] = out["member"].map(txt)
+    def attach_text(mem: pd.DataFrame, corpus: pd.DataFrame) -> pd.DataFrame:
+        out = mem.drop_duplicates().merge(corpus, on="doc_id", how="left")
         out["pb"] = (out["doc_a"] * 1_000_003 + out["doc_b"]) & (B - 1)
-        return from_pandas_clean(out)
+        return out
 
-    joined = (
-        cand_pairs.map_batches(members, batch_format="pyarrow")
-        .union(ds.map_batches(corpus_side, batch_format="pyarrow"))
-        .groupby("jb")
-        .map_groups(attach_text, batch_format="pandas")
+    joined = bucket_join(
+        (cand_pairs.map_batches(members, batch_format="pyarrow"), {**DOC_ID, **PAIR}),
+        (ds, {**DOC_ID, "text": pa.string()}),
+        "doc_id",
+        B,
+        attach_text,
+        {**PAIR, **DOC_ID, "text": pa.string(), "pb": pa.int64()},
     )
 
     # -- co-locate by pair, verify with exact Jaccard -----------------------
@@ -334,10 +302,10 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
 
         rows_a, rows_b, rows_j = [], [], []
         for (da, db), sub in g.groupby(["doc_a", "doc_b"], sort=True):
-            sub = sub.drop_duplicates("member")
+            sub = sub.drop_duplicates("doc_id")
             if len(sub) != 2:
                 continue  # partial pair (member text missing) — impossible here
-            texts = dict(zip(sub["member"], sub["text"]))
+            texts = dict(zip(sub["doc_id"], sub["text"]))
             sa, sb = sh(int(da), texts[da]), sh(int(db), texts[db])
             union = len(sa | sb)
             jac = len(sa & sb) / union if union else 0.0
@@ -683,7 +651,7 @@ def pairs_to_clusters(pairs):
     golden-checked against a sequential union-find (golden.py)."""
     from ray.data.aggregate import Min
 
-    from .tabular import n_buckets
+    from .tabular import bucket_join, n_buckets
 
     pairs = pairs.materialize()
     if pairs.count() == 0:
@@ -730,64 +698,19 @@ def pairs_to_clusters(pairs):
     )
     prev_sum = labels.sum("label")
 
-    def edge_side(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "k": b["nbr"],
-                "node": b["node"],
-                "label": pa.nulls(b.num_rows, pa.int64()),
-                "bucket": pc.cast(pc.bit_wise_and(b["nbr"], pa.scalar(B - 1)), pa.int64()),
-            }
-        )
-
-    def label_side(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "k": b["node"],
-                "node": pa.nulls(b.num_rows, pa.int64()),
-                "label": b["label"],
-                "bucket": pc.cast(
-                    pc.bit_wise_and(b["node"], pa.scalar(B - 1)), pa.int64()
-                ),
-            }
-        )
-
-    def attach_label(g: pd.DataFrame) -> pa.Table:
+    def attach_label(e: pd.DataFrame, lab: pd.DataFrame) -> pd.DataFrame:
         # one nbr-hash bucket: edges pick up their neighbour's current
-        # label, then fold to ONE partial min per node — emitted directly
-        # in the union row shape (k, node=None, label, bucket-by-node), so
-        # the only thing the next exchange sees is O(nodes) partials, and
-        # no native per-key Min aggregate exists in the round
-        lmap = dict(zip(g.loc[g["node"].isna(), "k"], g.loc[g["node"].isna(), "label"]))
-        e = g[g["node"].notna()]
-        part = (
-            pd.DataFrame(
-                {
-                    "node": e["node"].astype("int64"),
-                    "cand": e["k"].map(lmap).astype("int64"),
-                }
-            )
-            .groupby("node", as_index=False)["cand"]
-            .min()
-        )
-        nodes = part["node"].to_numpy(np.int64)
-        return pa.Table.from_pydict(
-            {
-                "k": pa.array(nodes, pa.int64()),
-                "node": pa.nulls(len(part), pa.int64()),
-                "label": pa.array(part["cand"].to_numpy(np.int64), pa.int64()),
-                "bucket": pa.array(nodes & (B - 1), pa.int64()),
-            }
-        )
+        # label, then fold to ONE partial min per node, so the next
+        # exchange sees only O(nodes) partials, and no native per-key Min
+        # aggregate exists in the round
+        return e.merge(lab, on="nbr").groupby("node", as_index=False)["label"].min()
 
-    def merge_min(g: pd.DataFrame) -> pd.DataFrame:
-        # both sides carry a candidate label for key k (own + neighbour-min)
-        from .tabular import from_pandas_clean
+    def merge_min(part: pd.DataFrame, own: pd.DataFrame) -> pd.DataFrame:
+        # both sides carry a candidate label per node (neighbour-min + own)
+        return pd.concat([part, own]).groupby("node", as_index=False)["label"].min()
 
-        lab = g.groupby("k", as_index=False)["label"].min()
-        return from_pandas_clean(pd.DataFrame(
-            {"node": lab["k"].astype("int64"), "label": lab["label"].astype("int64")}
-        ))
+    node_label = {"node": pa.int64(), "label": pa.int64()}
+    nbr_label = {"nbr": pa.int64(), "label": pa.int64()}
 
     # diameter ≤ node count bounds the rounds; hitting it means a bug, so
     # fail loudly rather than return silently-unconverged cluster labels
@@ -798,16 +721,21 @@ def pairs_to_clusters(pairs):
                 f"pairs_to_clusters: min-label propagation did not converge "
                 f"within the node-count bound ({max_rounds} rounds)"
             )
-        nbr_min = (
-            edges.map_batches(edge_side, batch_format="pyarrow")
-            .union(labels.map_batches(label_side, batch_format="pyarrow"))
-            .groupby("bucket")
-            .map_groups(attach_label, batch_format="pandas")
+        by_nbr = labels.map_batches(
+            lambda b: pa.table({"nbr": b["node"], "label": b["label"]}), batch_format="pyarrow"
+        )
+        nbr_min = bucket_join(
+            (edges, {"node": pa.int64(), "nbr": pa.int64()}),
+            (by_nbr, nbr_label),
+            "nbr",
+            B,
+            attach_label,
+            node_label,
         )
         labels = (
-            nbr_min.union(labels.map_batches(label_side, batch_format="pyarrow"))
-            .groupby("bucket")
-            .map_groups(merge_min, batch_format="pandas")
+            bucket_join(
+                (nbr_min, node_label), (labels, node_label), "node", B, merge_min, node_label
+            )
             .repartition(P)  # keep round block count flat (see above)
             .materialize()
         )
@@ -962,9 +890,7 @@ def dedup_keep_best(sf_dir: str):
 
     Golden: sequential union-find + the same longest/min-id rule
     (golden.py), hash-diffed by the driver gate."""
-    import pyarrow.compute as pc
-
-    from .tabular import from_pandas_clean, n_buckets, read
+    from .tabular import bucket_join, n_buckets
 
     # dedup_minhash_lsh sizes the band exchange and text re-join off the
     # corpus size_bytes hint (a hint-less minhash_pairs_ds would fall back
@@ -973,60 +899,16 @@ def dedup_keep_best(sf_dir: str):
     docs = read(sf_dir, "documents", ["doc_id", "text"])
     B = n_buckets(size_bytes=docs.size_bytes())
 
-    def member_side(b) -> pa.Table:
-        if isinstance(b, pd.DataFrame):
-            b = pa.Table.from_pandas(b, preserve_index=False)
-        return pa.Table.from_pydict(
-            {
-                "jb": pc.cast(pc.bit_wise_and(b["doc_id"], pa.scalar(B - 1)), pa.int64()),
-                "doc_id": pc.cast(b["doc_id"], pa.int64()),
-                "cluster_id": pc.cast(b["cluster_id"], pa.int64()),
-                "n_tokens": pa.nulls(b.num_rows, pa.int64()),
-            }
-        )
-
-    def count_side(b: pa.Table) -> pa.Table:
+    def counts(b: pa.Table) -> pa.Table:
         n = pc.add(pc.count_substring(b["text"], pattern=" "), 1)
-        return pa.Table.from_pydict(
-            {
-                "jb": pc.cast(pc.bit_wise_and(b["doc_id"], pa.scalar(B - 1)), pa.int64()),
-                "doc_id": pc.cast(b["doc_id"], pa.int64()),
-                "cluster_id": pa.nulls(b.num_rows, pa.int64()),
-                "n_tokens": pc.cast(n, pa.int64()),
-            }
-        )
+        return pa.table({"doc_id": b["doc_id"], "n_tokens": n})
 
-    def attach_counts(g: pd.DataFrame) -> pa.Table:
-        mem = g[g["cluster_id"].notna()]
-        if len(mem) == 0:
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "cluster_id": pa.array([], pa.int64()),
-                    "n_tokens": pa.array([], pa.int64()),
-                    "cb": pa.array([], pa.int64()),
-                }
-            )
-        cnt = dict(
-            zip(g.loc[g["cluster_id"].isna(), "doc_id"],
-                g.loc[g["cluster_id"].isna(), "n_tokens"])
-        )
-        out = mem[["doc_id", "cluster_id"]].copy()
-        out["n_tokens"] = out["doc_id"].map(cnt).astype("int64")
-        out["cluster_id"] = out["cluster_id"].astype("int64")
-        out["cb"] = out["cluster_id"].to_numpy().astype("int64") & (B - 1)
-        return from_pandas_clean(out)
+    def attach_counts(mem: pd.DataFrame, cnt: pd.DataFrame) -> pd.DataFrame:
+        out = mem.merge(cnt, on="doc_id", how="left")
+        out["cb"] = out["cluster_id"] & (B - 1)
+        return out
 
     def resolve(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "cluster_id": pa.array([], pa.int64()),
-                    "best_doc_id": pa.array([], pa.int64()),
-                    "kept": pa.array([], pa.bool_()),
-                }
-            )
         # longest wins, ties → min doc_id: sort once, first row per cluster
         d = g.sort_values(
             ["cluster_id", "n_tokens", "doc_id"],
@@ -1043,10 +925,12 @@ def dedup_keep_best(sf_dir: str):
             }
         )
 
-    joined = (
-        clusters.map_batches(member_side, batch_format="pyarrow")
-        .union(docs.map_batches(count_side, batch_format="pyarrow"))
-        .groupby("jb")
-        .map_groups(attach_counts, batch_format="pandas")
+    joined = bucket_join(
+        (clusters, {**DOC_ID, "cluster_id": pa.int64()}),
+        (docs.map_batches(counts, batch_format="pyarrow"), {**DOC_ID, "n_tokens": pa.int64()}),
+        "doc_id",
+        B,
+        attach_counts,
+        {**DOC_ID, "cluster_id": pa.int64(), "n_tokens": pa.int64(), "cb": pa.int64()},
     )
     return joined.groupby("cb").map_groups(resolve, batch_format="pandas")

@@ -202,15 +202,14 @@ def doc_bigram_lm_score(sf_dir: str):
         shuffle BY hash(w1): a w1's rows all land in one bucket, so the
         in-bucket groupby gives the global C(w1,w2) AND C(w1) = Σ_w2
         together — emits the quantized q = round(1e12·c12/c1) per bigram;
-    (2) doc bigram rows meet their q row in a hash-bucketed join BY
+    (2) doc bigram rows meet their q row in a `tabular.bucket_join` BY
         (w1,w2); the in-bucket combiner folds to ≤1 partial row per
         (doc, bucket);
     (3) partials meet BY hash(doc) for the exact int64 (Σq, n_bigrams)
         fold. Documents with <2 tokens have no bigrams and are excluded
         by definition (mirrored by the SQL's len(t) >= 2).
     """
-    from .tabular import from_pandas_clean, n_buckets
-    from .textan import hash_bucket
+    from .tabular import bucket_join, from_pandas_clean, key_buckets, n_buckets
 
     ds = read(sf_dir, "documents", ["doc_id", "text"])
     nb = n_buckets(size_bytes=ds.size_bytes())
@@ -244,42 +243,16 @@ def doc_bigram_lm_score(sf_dir: str):
             }
         )
 
-    def _pair_bucket(w1_col: pa.ChunkedArray, w2_col: pa.ChunkedArray) -> pa.Array:
-        """md5 bucket of 'w1\\x1fw2', computed once per distinct pair via
-        dictionary encoding (same scheme as doc_distinctive_terms)."""
-        joined = pc.binary_join_element_wise(w1_col, w2_col, "\x1f")
-        d = joined.dictionary_encode()
-        if isinstance(d, pa.ChunkedArray):
-            d = d.combine_chunks()
-        uniq = np.array(
-            [hash_bucket(t, nb) for t in d.dictionary.to_pylist()], dtype="int64"
-        )
-        return pa.array(uniq[d.indices.to_numpy(zero_copy_only=False)], pa.int64())
-
     bg = ds.map_batches(bigram_rows, batch_format="pyarrow")
 
     def count_partial(b: pa.Table) -> pa.Table:
         g = b.group_by(["w1", "w2"]).aggregate([([], "count_all")])
-        uniq_w1 = g["w1"].combine_chunks().dictionary_encode()
-        ub = np.array(
-            [hash_bucket(t, nb) for t in uniq_w1.dictionary.to_pylist()], dtype="int64"
-        )
-        part = ub[uniq_w1.indices.to_numpy(zero_copy_only=False)]
-        return pa.Table.from_pydict(
+        return pa.table(
             {
-                "part": pa.array(part, pa.int64()),
+                "part": key_buckets([g["w1"]], nb),
                 "w1": g["w1"],
                 "w2": g["w2"],
                 "c_part": g["count_all"],
-            }
-        )
-
-    def _typed_empty_q() -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "w1": pa.array([], pa.string()),
-                "w2": pa.array([], pa.string()),
-                "q": pa.array([], pa.int64()),
             }
         )
 
@@ -287,8 +260,6 @@ def doc_bigram_lm_score(sf_dir: str):
         # one w1-bucket: every (w1, w2, c_part) partial of a given w1 is
         # here, so ONE in-bucket fold yields both the global C(w1,w2) and
         # C(w1) = Σ_w2 — no separate count exchange
-        if len(g) == 0:
-            return _typed_empty_q()
         cnt = g.groupby(["w1", "w2"], sort=False)["c_part"].sum().reset_index()
         c1 = cnt.groupby("w1")["c_part"].transform("sum").to_numpy().astype("float64")
         c12 = cnt["c_part"].to_numpy().astype("float64")
@@ -302,74 +273,28 @@ def doc_bigram_lm_score(sf_dir: str):
         .map_groups(q_rows, batch_format="pandas")
     )
 
-    def bg_keyed(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "part": _pair_bucket(b["w1"], b["w2"]),
-                "doc_id": b["doc_id"],
-                "w1": b["w1"],
-                "w2": b["w2"],
-                "q": pa.array(np.full(b.num_rows, -1, dtype="int64"), pa.int64()),
-            }
-        )
-
-    def q_keyed(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "part": _pair_bucket(b["w1"], b["w2"]),
-                "doc_id": pa.array(np.full(b.num_rows, -1, dtype="int64"), pa.int64()),
-                "w1": b["w1"],
-                "w2": b["w2"],
-                "q": b["q"],
-            }
-        )
-
-    def _typed_empty_partial() -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "dpart": pa.array([], pa.int64()),
-                "doc_id": pa.array([], pa.int64()),
-                "sq_part": pa.array([], pa.int64()),
-                "nbg_part": pa.array([], pa.int64()),
-            }
-        )
-
-    def bucket_score(g: pd.DataFrame) -> pa.Table:
-        # one (w1,w2)-bucket: doc rows (q == -1) meet model rows (doc == -1);
-        # combiner folds to ≤1 partial row per doc in this bucket, tagged
-        # with the doc-hash bucket for the final exchange
-        model = g[g["doc_id"] == -1]
-        docs = g[g["doc_id"] != -1]
-        if len(docs) == 0 or len(model) == 0:
-            return _typed_empty_partial()
-        m = docs.merge(model[["w1", "w2", "q"]], on=["w1", "w2"], suffixes=("_x", ""))
-        if len(m) == 0:
-            return _typed_empty_partial()
-        agg = m.groupby("doc_id", sort=False).agg(
-            sq_part=("q", "sum"), nbg_part=("q", "size")
-        )
-        agg = agg.reset_index()
+    def bucket_score(docs: pd.DataFrame, model: pd.DataFrame) -> pd.DataFrame:
+        # one (w1,w2)-bucket: doc rows meet model rows; the combiner folds
+        # to ≤1 partial row per doc in this bucket, tagged with the
+        # doc-hash bucket for the final exchange
+        m = docs.merge(model, on=["w1", "w2"])
+        agg = m.groupby("doc_id", as_index=False).agg(sq_part=("q", "sum"), nbg_part=("q", "size"))
         agg["dpart"] = agg["doc_id"] % nb
-        return from_pandas_clean(agg[["dpart", "doc_id", "sq_part", "nbg_part"]])
+        return agg
 
-    partials = (
-        bg.map_batches(bg_keyed, batch_format="pyarrow")
-        .union(qtab.map_batches(q_keyed, batch_format="pyarrow"))
-        .groupby("part")
-        .map_groups(bucket_score, batch_format="pandas")
+    bigram = {"w1": pa.string(), "w2": pa.string()}
+    partials = bucket_join(
+        (bg, {"doc_id": pa.int64(), **bigram}),
+        (qtab, {**bigram, "q": pa.int64()}),
+        ["w1", "w2"],
+        nb,
+        bucket_score,
+        {"dpart": pa.int64(), "doc_id": pa.int64(), "sq_part": pa.int64(), "nbg_part": pa.int64()},
     )
 
     def doc_fold(g: pd.DataFrame) -> pa.Table:
         # one doc-hash bucket: every (doc, sq_part, nbg_part) partial of a
         # given doc is here — exact int64 fold, then the display math
-        if len(g) == 0:
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_bigrams": pa.array([], pa.int64()),
-                    "lm_score": pa.array([], pa.float64()),
-                }
-            )
         agg = g.groupby("doc_id", sort=False).agg(
             sq=("sq_part", "sum"), n_bigrams=("nbg_part", "sum")
         )
@@ -471,8 +396,7 @@ def build_postings_index(sf_dir: str, out_dir: str) -> str:
     rebuilds instead of serving stale postings)."""
     import os
 
-    from .tabular import idempotent_partitioned_build
-    from .textan import hash_bucket
+    from .tabular import hash_bucket, idempotent_partitioned_build
 
     src = f"{sf_dir}/documents.parquet"
     st = os.stat(src)
@@ -518,8 +442,7 @@ def build_postings_index(sf_dir: str, out_dir: str) -> str:
 
 def postings_dirs(idx: str, terms: tuple[str, ...]) -> tuple[list[str], set[int]]:
     """The parquet files of ONLY the partitions the query terms hash to."""
-    from .tabular import partition_files
-    from .textan import hash_bucket
+    from .tabular import hash_bucket, partition_files
 
     buckets = {hash_bucket(t, POSTINGS_BUCKETS) for t in terms}
     return partition_files(idx, "tb", buckets), buckets

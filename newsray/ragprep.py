@@ -76,10 +76,12 @@ def embed_tokens(tokens: list[str], cache: dict | None = None) -> np.ndarray:
 
 
 class StubEmbedder:
-    """Actor-pool embedding stage: the 'model' (hyperplanes + a token
-    vector cache that grows across batches — actor state, built/held ONCE
-    per actor in __init__) batches chunks through an exact int64 bag-of-
-    token-vecs embedding, then signs + partitions for the index write.
+    """Actor-pool embedding stage: the 'model' (hyperplanes — actor state,
+    built/held ONCE per actor in __init__) batches chunks through an exact
+    int64 bag-of-token-vecs embedding, then signs + partitions for the
+    index write. Each batch embeds its unique tokens once; there is no
+    cross-batch token cache (one ``token_vec`` is one blake2b, and a cache
+    would grow without bound over the actor's life).
     A real deployment swaps `token_vec` for a tokenizer+encoder forward
     pass; the batch plumbing (unique-token gather, `np.add.at` scatter —
     bit-equal to the sequential sum because int64 addition is exact) is
@@ -87,7 +89,6 @@ class StubEmbedder:
 
     def __init__(self):
         self._planes = stub_planes()
-        self._cache: dict[str, np.ndarray] = {}
 
     def __call__(self, b: pa.Table) -> pa.Table:
         toks = pc.split_pattern(b["chunk_text"], " ")
@@ -97,10 +98,7 @@ class StubEmbedder:
         uniq, inv = np.unique(np.asarray(flat, dtype=object), return_inverse=True)
         vecs = np.empty((len(uniq), EMB_DIM), dtype=np.int64)
         for i, t in enumerate(uniq):  # model forward: unique tokens only
-            tv = self._cache.get(t)
-            if tv is None:
-                tv = self._cache[t] = token_vec(t)
-            vecs[i] = tv
+            vecs[i] = token_vec(t)
         embs = np.zeros((len(b), EMB_DIM), dtype=np.int64)
         np.add.at(embs, rows, vecs[inv])
         sigs = signatures(embs, self._planes)

@@ -259,10 +259,10 @@ def customers_per_region(sf_dir: str):
     """,
 )
 def revenue_by_priority(sf_dir: str):
-    """Explicit partitioned hash join (both sides large): tag each side,
-    bucket by hash(orderkey) % B, co-locate via ONE groupby, join + partially
-    aggregate inside each bucket, then a tiny final groupby. This is the
-    portable Ray Data large-join pattern (ray_guide 'Joins'); B scales with
+    """Explicit partitioned hash join (both sides large): one
+    `tabular.bucket_join` by orderkey joins + partially aggregates inside
+    each bucket, then a tiny final groupby. This is the portable Ray Data
+    large-join pattern (ray_guide 'Joins'); the bucket count scales with
     the cluster AND the data (tabular.n_buckets); for a HOT key, the implemented
     salting pattern is events_rollup's user-hash bucket (split the hot group
     by an orthogonal key hash, partial per salt, tiny final merge).
@@ -275,28 +275,13 @@ def revenue_by_priority(sf_dir: str):
     ROUND's half-boundary. The oracle SQL casts to BIGINT identically."""
     from ray.data.aggregate import Sum
 
-    from .tabular import n_buckets
+    from .tabular import bucket_join, n_buckets
 
     orders = read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     lineitem = read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
-    N_JOIN_BUCKETS = n_buckets(size_bytes=orders.size_bytes() + lineitem.size_bytes())
+    nb = n_buckets(size_bytes=orders.size_bytes() + lineitem.size_bytes())
 
-    def prep_orders(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "key": b["o_orderkey"],
-                "bucket": pc.cast(
-                    pc.bit_wise_and(b["o_orderkey"], pa.scalar(N_JOIN_BUCKETS - 1)),
-                    pa.int64(),
-                ),
-                "side": pa.array(["o"] * b.num_rows),
-                "o_orderpriority": b["o_orderpriority"],
-                "rev_e4": pa.nulls(b.num_rows, pa.int64()),
-                "n_rows": pa.nulls(b.num_rows, pa.int64()),
-            }
-        )
-
-    def prep_items(b: pa.Table) -> pa.Table:
+    def item_partials(b: pa.Table) -> pa.Table:
         # partial aggregate BELOW the exchange: duplicate orderkeys combine
         # inside the batch (TPC-H averages ~4 items/order), so the shuffle
         # carries (key, rev_e4, n_rows) — a fraction of the raw rows.
@@ -305,56 +290,35 @@ def revenue_by_priority(sf_dir: str):
         price_c = pc.cast(pc.round(pc.multiply(b["l_extendedprice"], pa.scalar(100.0))), pa.int64())
         disc_pct = pc.cast(pc.round(pc.multiply(b["l_discount"], pa.scalar(100.0))), pa.int64())
         rev_e4 = pc.multiply(price_c, pc.subtract(pa.scalar(100, pa.int64()), disc_pct))
-        t = pa.Table.from_pydict({"key": b["l_orderkey"], "rev_e4": rev_e4})
-        agg = t.group_by("key").aggregate([("rev_e4", "sum"), ("rev_e4", "count")])
-        return pa.Table.from_pydict(
+        t = pa.Table.from_pydict({"o_orderkey": b["l_orderkey"], "rev_e4": rev_e4})
+        agg = t.group_by("o_orderkey").aggregate([("rev_e4", "sum"), ("rev_e4", "count")])
+        return pa.table(
             {
-                "key": agg["key"],
-                "bucket": pc.cast(
-                    pc.bit_wise_and(agg["key"], pa.scalar(N_JOIN_BUCKETS - 1)),
-                    pa.int64(),
-                ),
-                "side": pa.array(["l"] * agg.num_rows),
-                "o_orderpriority": pa.nulls(agg.num_rows, pa.string()),
-                "rev_e4": pc.cast(agg["rev_e4_sum"], pa.int64()),
-                "n_rows": pc.cast(agg["rev_e4_count"], pa.int64()),
+                "o_orderkey": agg["o_orderkey"],
+                "rev_e4": agg["rev_e4_sum"],
+                "n_rows": agg["rev_e4_count"],
             }
         )
 
-    both = orders.map_batches(prep_orders, batch_format="pyarrow").union(
-        lineitem.map_batches(prep_items, batch_format="pyarrow")
-    )
-
-    def join_bucket(g: pd.DataFrame) -> pa.Table:
-        # typed Arrow out (b725db6 class): a pandas return would make the
-        # downstream aggregate run on pandas blocks, whose empty partitions
-        # carry no schema and trip the executor's schema-divergence warning
-        o = g[g["side"] == "o"][["key", "o_orderpriority"]]
-        l = g[g["side"] == "l"][["key", "rev_e4", "n_rows"]]
-        m = l.merge(o, on="key", how="inner")
-        # back to int64 BEFORE the sum: the union frame holds NaN on the
-        # order side, so these columns arrive float64, and a float64 partial
-        # sum reintroduces the exact last-ulp nondeterminism this operator's
-        # int64 design exists to prevent (sums near 2^53 at large SF)
-        m["rev_e4"] = m["rev_e4"].astype("int64")
-        m["n_rows"] = m["n_rows"].astype("int64")
-        agg = m.groupby("o_orderpriority", as_index=False).agg(
-            partial_rev=("rev_e4", "sum"), partial_n=("n_rows", "sum")
-        )
-        return pa.Table.from_pydict(
-            {
-                "o_orderpriority": pa.array(
-                    agg["o_orderpriority"].astype(str).values if len(agg) else [],
-                    pa.string(),
-                ),
-                "partial_rev": pa.array(agg["partial_rev"].to_numpy(np.int64), pa.int64()),
-                "partial_n": pa.array(agg["partial_n"].to_numpy(np.int64), pa.int64()),
-            }
+    def join_bucket(o: pd.DataFrame, li: pd.DataFrame) -> pd.DataFrame:
+        return (
+            li.merge(o, on="o_orderkey")
+            .groupby("o_orderpriority", as_index=False)
+            .agg(partial_rev=("rev_e4", "sum"), partial_n=("n_rows", "sum"))
         )
 
     out = (
-        both.groupby("bucket")
-        .map_groups(join_bucket, batch_format="pandas")
+        bucket_join(
+            (orders, {"o_orderkey": pa.int64(), "o_orderpriority": pa.string()}),
+            (
+                lineitem.map_batches(item_partials, batch_format="pyarrow"),
+                {"o_orderkey": pa.int64(), "rev_e4": pa.int64(), "n_rows": pa.int64()},
+            ),
+            "o_orderkey",
+            nb,
+            join_bucket,
+            {"o_orderpriority": pa.string(), "partial_rev": pa.int64(), "partial_n": pa.int64()},
+        )
         .groupby("o_orderpriority")
         .aggregate(
             Sum("partial_rev", alias_name="rev_e4_total"),
@@ -638,49 +602,26 @@ def top10_customers_by_revenue(sf_dir: str):
     the distributed sort-limit on the joined result."""
     from ray.data.aggregate import Count, Sum
 
-    from .tabular import n_buckets
+    from .tabular import bucket_join, n_buckets
 
     ds = read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = read(sf_dir, "customer", ["c_custkey", "c_name"])
-    B = n_buckets(size_bytes=ds.size_bytes() + cust.size_bytes())
+    nb = n_buckets(size_bytes=ds.size_bytes() + cust.size_bytes())
     agg = ds.groupby("o_custkey").aggregate(
         Sum("o_totalprice", alias_name="revenue"), Count(alias_name="n_orders")
     )
-
-    def tag_agg(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "key": b["o_custkey"],
-                "bucket": pc.cast(pc.bit_wise_and(b["o_custkey"], pa.scalar(B - 1)), pa.int64()),
-                "revenue": b["revenue"],
-                "n_orders": b["n_orders"],
-                "c_name": pa.nulls(b.num_rows, pa.string()),
-            }
-        )
-
-    def tag_cust(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "key": b["c_custkey"],
-                "bucket": pc.cast(pc.bit_wise_and(b["c_custkey"], pa.scalar(B - 1)), pa.int64()),
-                "revenue": pa.nulls(b.num_rows, pa.float64()),
-                "n_orders": pa.nulls(b.num_rows, pa.int64()),
-                "c_name": b["c_name"],
-            }
-        )
-
-    both = agg.map_batches(tag_agg, batch_format="pyarrow").union(
-        cust.map_batches(tag_cust, batch_format="pyarrow")
+    # the customer side takes the orders' key name: one `on` for both sides
+    named = cust.map_batches(
+        lambda b: b.rename_columns(["o_custkey", "c_name"]), batch_format="pyarrow"
     )
-
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        a = g[g["c_name"].isna()][["key", "revenue", "n_orders"]]
-        c = g[g["c_name"].notna()][["key", "c_name"]]
-        m = a.merge(c, on="key", how="inner")
-        m["n_orders"] = m["n_orders"].astype("int64")
-        return m[["c_name", "revenue", "n_orders"]]
-
-    joined = both.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
+    joined = bucket_join(
+        (agg, {"o_custkey": pa.int64(), "revenue": pa.float64(), "n_orders": pa.int64()}),
+        (named, {"o_custkey": pa.int64(), "c_name": pa.string()}),
+        "o_custkey",
+        nb,
+        lambda a, c: a.merge(c, on="o_custkey"),
+        {"c_name": pa.string(), "revenue": pa.float64(), "n_orders": pa.int64()},
+    )
     return (
         joined.map_batches(lambda b: round_col(b, "revenue", 2), batch_format="pyarrow")
         .sort(["revenue", "c_name"], descending=[True, False])
@@ -898,59 +839,10 @@ def customers_without_orders(sf_dir: str):
     priority; broadcast: customers_per_region; as-of / range: the click
     ops): customers with no URGENT order (every customer has SOME order in
     this corpus, so the probe side carries a predicate to keep the result
-    non-trivial). Both sides hash-bucket by custkey; the
-    probe side is pre-shrunk by a per-batch DISTINCT (map-side combine —
-    the shuffle carries unique keys per batch, not one row per order) and
-    the per-bucket verdict is one vectorized ``isin``. No broadcast of
-    either side, so the same plan holds when both tables are corpus-sized."""
-    from .tabular import from_pandas_clean, n_buckets
-
-    cust = read(sf_dir, "customer", ["c_custkey", "c_name"])
-    orders = read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-    nb = n_buckets(size_bytes=cust.size_bytes() + orders.size_bytes())
-
-    def cust_side(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "jb": pc.cast(
-                    pc.bit_wise_and(b["c_custkey"], pa.scalar(nb - 1, pa.int64())),
-                    pa.int64(),
-                ),
-                "key": pc.cast(b["c_custkey"], pa.int64()),
-                "c_name": b["c_name"],
-            }
-        )
-
-    def order_side(b: pa.Table) -> pa.Table:
-        keys = pc.unique(
-            b.filter(pc.equal(b["o_orderpriority"], "1-URGENT"))["o_custkey"]
-        )
-        return pa.Table.from_pydict(
-            {
-                "jb": pc.cast(
-                    pc.bit_wise_and(keys, pa.scalar(nb - 1, pa.int64())), pa.int64()
-                ),
-                "key": pc.cast(keys, pa.int64()),
-                "c_name": pa.nulls(len(keys), pa.string()),
-            }
-        )
-
-    def anti(g: pd.DataFrame) -> pa.Table:
-        have = set(g.loc[g["c_name"].isna(), "key"])
-        keep = g[g["c_name"].notna() & ~g["key"].isin(have)]
-        return pa.Table.from_pydict(
-            {
-                "c_custkey": pa.array(keep["key"].to_numpy(), pa.int64()),
-                "c_name": pa.array(keep["c_name"].to_numpy(), pa.string()),
-            }
-        )
-
-    return (
-        cust.map_batches(cust_side, batch_format="pyarrow")
-        .union(orders.map_batches(order_side, batch_format="pyarrow"))
-        .groupby("jb")
-        .map_groups(anti, batch_format="pandas")
-    )
+    non-trivial). One `tabular.bucket_join` by custkey (see
+    `_urgent_join`): no broadcast of either side, so the same plan holds
+    when both tables are corpus-sized."""
+    return _urgent_join(sf_dir, matched=False)
 
 
 @register(
@@ -965,57 +857,38 @@ def customers_with_urgent_orders(sf_dir: str):
     """SEMI JOIN — the join family's last shape (inner / broadcast / as-of /
     range / anti are elsewhere): customers having ≥1 URGENT order, each
     emitted ONCE no matter how many orders match (the semi-vs-inner
-    distinction). Same no-broadcast plan as `customers_without_orders`:
-    both sides hash-bucket by custkey, the probe side pre-shrunk by a
-    per-batch DISTINCT, one vectorized ``isin`` per bucket — only the
-    verdict polarity differs."""
-    from .tabular import n_buckets
+    distinction). The same `tabular.bucket_join` as
+    `customers_without_orders` (`_urgent_join`) — only the verdict polarity
+    differs."""
+    return _urgent_join(sf_dir, matched=True)
+
+
+CUSTOMER_NAME = {"c_custkey": pa.int64(), "c_name": pa.string()}
+
+
+def _urgent_join(sf_dir: str, matched: bool):
+    """The anti (``matched=False``) / semi (``matched=True``) join of
+    customers against URGENT orders, through `tabular.bucket_join`: the
+    probe side is pre-shrunk by a per-batch DISTINCT (map-side combine —
+    the shuffle carries unique keys per batch, not one row per order) and
+    the per-bucket verdict is one vectorized ``isin``."""
+    from .tabular import bucket_join, n_buckets
 
     cust = read(sf_dir, "customer", ["c_custkey", "c_name"])
     orders = read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
     nb = n_buckets(size_bytes=cust.size_bytes() + orders.size_bytes())
 
-    def cust_side(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "jb": pc.cast(
-                    pc.bit_wise_and(b["c_custkey"], pa.scalar(nb - 1, pa.int64())),
-                    pa.int64(),
-                ),
-                "key": pc.cast(b["c_custkey"], pa.int64()),
-                "c_name": b["c_name"],
-            }
-        )
+    def urgent_keys(b: pa.Table) -> pa.Table:
+        urgent = b.filter(pc.equal(b["o_orderpriority"], "1-URGENT"))
+        return pa.table({"c_custkey": pc.unique(urgent["o_custkey"])})
 
-    def order_side(b: pa.Table) -> pa.Table:
-        keys = pc.unique(
-            b.filter(pc.equal(b["o_orderpriority"], "1-URGENT"))["o_custkey"]
-        )
-        return pa.Table.from_pydict(
-            {
-                "jb": pc.cast(
-                    pc.bit_wise_and(keys, pa.scalar(nb - 1, pa.int64())), pa.int64()
-                ),
-                "key": pc.cast(keys, pa.int64()),
-                "c_name": pa.nulls(len(keys), pa.string()),
-            }
-        )
-
-    def semi(g: pd.DataFrame) -> pa.Table:
-        have = set(g.loc[g["c_name"].isna(), "key"])
-        keep = g[g["c_name"].notna() & g["key"].isin(have)]
-        return pa.Table.from_pydict(
-            {
-                "c_custkey": pa.array(keep["key"].to_numpy(), pa.int64()),
-                "c_name": pa.array(keep["c_name"].to_numpy(), pa.string()),
-            }
-        )
-
-    return (
-        cust.map_batches(cust_side, batch_format="pyarrow")
-        .union(orders.map_batches(order_side, batch_format="pyarrow"))
-        .groupby("jb")
-        .map_groups(semi, batch_format="pandas")
+    return bucket_join(
+        (cust, CUSTOMER_NAME),
+        (orders.map_batches(urgent_keys, batch_format="pyarrow"), {"c_custkey": pa.int64()}),
+        "c_custkey",
+        nb,
+        lambda c, o: c[c["c_custkey"].isin(o["c_custkey"]) == matched],
+        CUSTOMER_NAME,
     )
 
 
@@ -1175,69 +1048,37 @@ def customer_order_counts(sf_dir: str):
     """LEFT OUTER JOIN + zero-fill aggregate — the join family's outer
     shape (inner / broadcast / as-of / range / anti / semi are elsewhere):
     every customer with their order count, INCLUDING the zero-order
-    customers an inner join would drop. Same no-broadcast plan as the
-    anti/semi pair: the probe side folds to per-batch (custkey, n) count
-    partials (map-side combine — the shuffle carries one row per distinct
-    key per batch, not one per order), both sides hash-bucket by custkey,
-    and the per-bucket fold is one vectorized partial sum + left merge
-    with fillna(0)."""
-    from .tabular import n_buckets
+    customers an inner join would drop. One `tabular.bucket_join` by
+    custkey, like the anti/semi pair: the probe side folds to per-batch
+    (custkey, n) count partials (map-side combine — the shuffle carries one
+    row per distinct key per batch, not one per order), and the per-bucket
+    fold is one vectorized partial sum + left merge with fillna(0)."""
+    from .tabular import bucket_join, n_buckets
 
     cust = read(sf_dir, "customer", ["c_custkey", "c_name"])
     orders = read(sf_dir, "orders", ["o_custkey"])
     nb = n_buckets(size_bytes=cust.size_bytes() + orders.size_bytes())
 
-    def cust_side(b: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "jb": pc.cast(
-                    pc.bit_wise_and(b["c_custkey"], pa.scalar(nb - 1, pa.int64())),
-                    pa.int64(),
-                ),
-                "key": pc.cast(b["c_custkey"], pa.int64()),
-                "c_name": b["c_name"],
-                "pn": pa.nulls(b.num_rows, pa.int64()),
-            }
-        )
-
-    def order_side(b: pa.Table) -> pa.Table:
+    def order_counts(b: pa.Table) -> pa.Table:
         vc = b["o_custkey"].combine_chunks().value_counts()
-        keys = vc.field("values")
-        return pa.Table.from_pydict(
-            {
-                "jb": pc.cast(
-                    pc.bit_wise_and(keys, pa.scalar(nb - 1, pa.int64())), pa.int64()
-                ),
-                "key": pc.cast(keys, pa.int64()),
-                "c_name": pa.nulls(len(keys), pa.string()),
-                "pn": vc.field("counts").cast(pa.int64()),
-            }
-        )
+        return pa.table({"c_custkey": vc.field("values"), "pn": vc.field("counts")})
 
-    def outer(g: pd.DataFrame) -> pa.Table:
-        cnt = (
-            g.loc[g["c_name"].isna()]
-            .groupby("key", as_index=False)["pn"]
-            .sum()
-        )
-        left = g.loc[g["c_name"].notna(), ["key", "c_name"]].merge(
-            cnt, on="key", how="left"
-        )
-        n = left["pn"].fillna(0).to_numpy(np.int64)
-        return pa.Table.from_pydict(
-            {
-                "c_custkey": pa.array(left["key"].to_numpy(np.int64), pa.int64()),
-                "c_name": pa.array(left["c_name"].astype(str).to_numpy()
-                                   if len(left) else [], pa.string()),
-                "n_orders": pa.array(n, pa.int64()),
-            }
-        )
+    def outer(c: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
+        cnt = o.groupby("c_custkey", as_index=False)["pn"].sum()
+        m = c.merge(cnt, on="c_custkey", how="left")
+        m["n_orders"] = m["pn"].fillna(0)
+        return m
 
-    return (
-        cust.map_batches(cust_side, batch_format="pyarrow")
-        .union(orders.map_batches(order_side, batch_format="pyarrow"))
-        .groupby("jb")
-        .map_groups(outer, batch_format="pandas")
+    return bucket_join(
+        (cust, CUSTOMER_NAME),
+        (
+            orders.map_batches(order_counts, batch_format="pyarrow"),
+            {"c_custkey": pa.int64(), "pn": pa.int64()},
+        ),
+        "c_custkey",
+        nb,
+        outer,
+        {**CUSTOMER_NAME, "n_orders": pa.int64()},
     )
 
 
@@ -1390,81 +1231,48 @@ def user_activity_full(sf_dir: str):
     — keys unmatched on EITHER side survive (active non-segment users keep
     a NULL acctbal; segment customers with no events keep a zero count),
     which neither the inner nor either one-sided outer shape can produce.
-    Same no-broadcast plan as the left-outer/anti/semi family: the event
-    side folds to per-batch (key, n) count partials, both sides hash-bucket
-    by key, and the per-bucket fold is one vectorized partial sum + OUTER
-    merge with an indicator for the two presence flags."""
-    from .tabular import n_buckets
+    One `tabular.bucket_join` by key, like the left-outer/anti/semi family:
+    the event side folds to per-batch (key, n) count partials, and the
+    per-bucket fold is one vectorized partial sum + OUTER merge with an
+    indicator for the two presence flags."""
+    from .tabular import bucket_join, n_buckets
 
     ev = read(sf_dir, "events", ["user_id"])
     cust = read(sf_dir, "customer", ["c_custkey", "c_acctbal", "c_mktsegment"])
     nb = n_buckets(size_bytes=ev.size_bytes() + cust.size_bytes())
 
-    def ev_side(b: pa.Table) -> pa.Table:
+    def ev_counts(b: pa.Table) -> pa.Table:
         vc = b["user_id"].combine_chunks().value_counts()
-        keys = vc.field("values")
-        return pa.Table.from_pydict(
-            {
-                "jb": pc.cast(
-                    pc.bit_wise_and(keys, pa.scalar(nb - 1, pa.int64())), pa.int64()
-                ),
-                "key": pc.cast(keys, pa.int64()),
-                "pn": vc.field("counts").cast(pa.int64()),
-                "acct": pa.nulls(len(keys), pa.float64()),
-                "iscust": pa.array(np.zeros(len(keys), dtype=np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"ukey": vc.field("values"), "pn": vc.field("counts")})
 
-    def cust_side(b: pa.Table) -> pa.Table:
+    def segment(b: pa.Table) -> pa.Table:
         b = b.filter(pc.equal(b["c_mktsegment"], FULL_OUTER_SEGMENT))
-        return pa.Table.from_pydict(
-            {
-                "jb": pc.cast(
-                    pc.bit_wise_and(b["c_custkey"], pa.scalar(nb - 1, pa.int64())),
-                    pa.int64(),
-                ),
-                "key": pc.cast(b["c_custkey"], pa.int64()),
-                "pn": pa.nulls(b.num_rows, pa.int64()),
-                "acct": pc.cast(b["c_acctbal"], pa.float64()),
-                "iscust": pa.array(np.ones(b.num_rows, dtype=np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"ukey": b["c_custkey"], "acctbal": b["c_acctbal"]})
 
-    def outer(g: pd.DataFrame) -> pa.Table:
-        evp = (
-            g.loc[g["iscust"] == 0]
-            .groupby("key", as_index=False)["pn"]
-            .sum()
-        )
-        cup = g.loc[g["iscust"] == 1, ["key", "acct"]]
-        m = evp.merge(cup, on="key", how="outer", indicator=True)
-        # (m is never empty: map_groups only sees non-empty groups, and any
-        # group row lands in evp or cup)
-        return pa.Table.from_pydict(
-            {
-                "ukey": pa.array(m["key"].to_numpy(np.int64), pa.int64()),
-                "n_events": pa.array(
-                    m["pn"].fillna(0).to_numpy(np.int64), pa.int64()
-                ),
-                # from_pandas=True: the merge's NaN fill for non-customers
-                # must surface as SQL NULL, not a float NaN
-                "acctbal": pa.array(
-                    m["acct"].to_numpy(np.float64), pa.float64(), from_pandas=True
-                ),
-                "has_events": pa.array(
-                    m["_merge"].isin(("left_only", "both")).to_numpy(), pa.bool_()
-                ),
-                "is_customer": pa.array(
-                    m["_merge"].isin(("right_only", "both")).to_numpy(), pa.bool_()
-                ),
-            }
-        )
+    def outer(e: pd.DataFrame, c: pd.DataFrame) -> pd.DataFrame:
+        evp = e.groupby("ukey", as_index=False)["pn"].sum()
+        m = evp.merge(c, on="ukey", how="outer", indicator=True)
+        m["n_events"] = m["pn"].fillna(0)
+        m["has_events"] = m["_merge"] != "right_only"
+        m["is_customer"] = m["_merge"] != "left_only"
+        return m  # acctbal's NaN fill for non-customers casts to SQL NULL
 
-    return (
-        ev.map_batches(ev_side, batch_format="pyarrow")
-        .union(cust.map_batches(cust_side, batch_format="pyarrow"))
-        .groupby("jb")
-        .map_groups(outer, batch_format="pandas")
+    return bucket_join(
+        (ev.map_batches(ev_counts, batch_format="pyarrow"), {"ukey": pa.int64(), "pn": pa.int64()}),
+        (
+            cust.map_batches(segment, batch_format="pyarrow"),
+            {"ukey": pa.int64(), "acctbal": pa.float64()},
+        ),
+        "ukey",
+        nb,
+        outer,
+        {
+            "ukey": pa.int64(),
+            "n_events": pa.int64(),
+            "acctbal": pa.float64(),
+            "has_events": pa.bool_(),
+            "is_customer": pa.bool_(),
+        },
     )
 
 

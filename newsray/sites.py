@@ -247,7 +247,3 @@ SITE_ORDER: tuple[str, ...] = tuple(SITES)
 SITE_RANK: dict[str, int] = {s: i for i, s in enumerate(SITE_ORDER)}
 
 HOST_TO_SITE: dict[str, str] = {c.host: c.site for c in SITES.values()}
-
-
-def seed_count_total() -> int:
-    return sum(c.n_seeds for c in SITES.values())

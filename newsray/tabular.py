@@ -3,8 +3,11 @@ star schema (TESTDATA.md). All readers prune columns at the read."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 
@@ -111,6 +114,94 @@ def n_buckets(min_b: int = 32, size_bytes: int | None = None) -> int:
     while b < target:
         b <<= 1
     return b
+
+
+def hash_bucket(tok: str, nb: int) -> int:
+    """Deterministic (seed-free) token → bucket: md5-low-bits mod nb."""
+    return int(hashlib.md5(tok.encode("utf-8")).hexdigest()[:8], 16) % nb
+
+
+def key_buckets(cols: list, nb: int) -> pa.Array:
+    """Bucket in ``[0, nb)`` of each row's key: ``key & (nb-1)`` for one
+    integer column; for string keys (several joined with ``\\x1f``)
+    `hash_bucket`, computed once per DISTINCT value via dictionary encoding
+    (pyarrow has no md5 kernel, so the Python loop runs over the dictionary
+    only). A null key lands in bucket 0."""
+    if len(cols) == 1 and pa.types.is_integer(cols[0].type):
+        k = pc.cast(cols[0], pa.int64())
+        return pc.fill_null(pc.bit_wise_and(k, pa.scalar(nb - 1, pa.int64())), 0)
+    s = cols[0] if len(cols) == 1 else pc.binary_join_element_wise(*cols, "\x1f")
+    if isinstance(s, pa.ChunkedArray):
+        s = s.combine_chunks()
+    d = s.dictionary_encode()
+    uniq = [hash_bucket(t, nb) for t in d.dictionary.to_pylist()]
+    lut = np.array(uniq + [0], dtype="int64")
+    idx = d.indices.fill_null(len(uniq)).to_numpy(zero_copy_only=False)
+    return pa.array(lut[idx], pa.int64())
+
+
+def bucket_join(left, right, on, nb: int, reduce, out) -> rd.Dataset:
+    """The one bucketed hash join (both sides data-sized, nothing
+    broadcast): each side is tagged with its key's bucket (`key_buckets`)
+    and a side id, null-padded to one shared schema, the two are unioned,
+    ONE ``groupby(bucket)`` co-locates every key's rows, and
+    ``reduce(l, r)`` runs once per bucket group.
+
+    * ``left``/``right``: ``(Dataset, {column: pa type})`` — the columns
+      the side hands to ``reduce``, keys included. Declared, not probed:
+      a bucket holding one side only still gets the other side's frame.
+    * ``on``: key column name(s), present on both sides with one type.
+    * ``reduce(l, r)``: two pandas frames holding exactly each side's
+      declared columns with their real dtypes (an absent side is a typed
+      empty frame); returns a DataFrame.
+    * ``out``: the output schema (``{column: pa type}``); each group's
+      result is cast to it, so an empty result is a typed empty block and
+      no block carries pandas metadata.
+
+    Map-side combines (per-batch DISTINCT, count partials) stay the
+    caller's own ``map_batches`` before the call: Ray fuses them with the
+    tag map."""
+    keys = [on] if isinstance(on, str) else list(on)
+    sides = [pa.schema(left[1]), pa.schema(right[1])]
+    out = pa.schema(out)
+    for k in keys:
+        if sides[0].field(k).type != sides[1].field(k).type:
+            raise ValueError(f"bucket_join: key {k!r} differs in type between sides")
+    # padded name of each side's declared column: the keys are shared,
+    # payloads are side-prefixed so the two sides may reuse a name
+    inner = [
+        [f.name if f.name in keys else f"{i}.{f.name}" for f in s] for i, s in enumerate(sides)
+    ]
+    padded = {name: f.type for s, names in zip(sides, inner) for f, name in zip(s, names)}
+    union = pa.schema([("_jb", pa.int64()), ("_side", pa.int8()), *padded.items()])
+
+    def tag(i: int):
+        mine = dict(zip(inner[i], sides[i].names))
+
+        def join_tag(b: pa.Table) -> pa.Table:
+            n = b.num_rows
+            cols = [key_buckets([b[k] for k in keys], nb), pa.array(np.full(n, i, "int8"))]
+            for name, typ in padded.items():
+                cols.append(pc.cast(b[mine[name]], typ) if name in mine else pa.nulls(n, typ))
+            return pa.Table.from_arrays(cols, schema=union)
+
+        return join_tag
+
+    def join_bucket(g: pa.Table) -> pa.Table:
+        frames = [
+            g.filter(pc.equal(g["_side"], i)).select(inner[i]).rename_columns(s.names).to_pandas()
+            for i, s in enumerate(sides)
+        ]
+        res = pa.Table.from_pandas(reduce(*frames), schema=out, preserve_index=False)
+        return res.replace_schema_metadata(None)
+
+    return (
+        left[0]
+        .map_batches(tag(0), batch_format="pyarrow")
+        .union(right[0].map_batches(tag(1), batch_format="pyarrow"))
+        .groupby("_jb")
+        .map_groups(join_bucket, batch_format="pyarrow")
+    )
 
 
 def idempotent_partitioned_build(out_dir: str, want: dict, build_fn) -> str:

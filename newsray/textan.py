@@ -460,14 +460,14 @@ def doc_distinctive_terms(sf_dir: str):
     ties broken by term. Distributed plan, sized for a corpus-scale vocab:
     (1) DF by map-side combine — each doc lives in exactly one batch, so
     per-batch distinct-doc counts per token sum to the global df; (2) tf
-    rows hash-bucketed BY TOKEN meet the df PARTIALS in one groupby — a
-    bucketed hash join, no vocab broadcast; the global df is the in-bucket
-    sum of the partials (every row of a token shares the bucket), so no
-    separate df exchange exists; (3) inside each token bucket a
+    rows meet the df PARTIALS in one `tabular.bucket_join` BY TOKEN, no
+    vocab broadcast; the global df is the in-bucket sum of the partials
+    (every row of a token shares the bucket), so no separate df exchange
+    exists; (3) inside each token bucket a
     vectorized local argmax emits ≤1 row per (doc, bucket) — the combiner —
     so the final regroup BY DOC carries ≤buckets rows per doc, not one per
     term occurrence."""
-    from .tabular import from_pandas_clean, n_buckets
+    from .tabular import bucket_join, from_pandas_clean, n_buckets
 
     ds = read(sf_dir, "documents", ["doc_id", "text"])
     nb = n_buckets(size_bytes=ds.size_bytes())
@@ -485,101 +485,52 @@ def doc_distinctive_terms(sf_dir: str):
             flat = flat.combine_chunks()
         return pa.table({"doc_id": pa.array(doc, pa.int64()), "tok": flat})
 
-    def _tok_buckets(tok_col) -> pa.Array:
-        """md5 bucket per row, md5 computed once per DISTINCT token via
-        dictionary encoding (the md5 IS the oracle-independent shuffle key;
-        pyarrow has no md5 kernel, so the Python loop runs over the
-        dictionary only)."""
-        d = tok_col.dictionary_encode()
-        if isinstance(d, pa.ChunkedArray):
-            d = d.combine_chunks()
-        uniq = np.array([hash_bucket(t, nb) for t in d.dictionary.to_pylist()],
-                        dtype="int64")
-        return pa.array(uniq[d.indices.to_numpy(zero_copy_only=False)], pa.int64())
-
     def tf_rows(b: pa.Table) -> pa.Table:
-        tf = (
-            _exploded_pairs(b)
-            .group_by(["doc_id", "tok"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.Table.from_pydict(
-            {
-                "part": _tok_buckets(tf["tok"]),
-                "doc_id": tf["doc_id"],
-                "tok": tf["tok"],
-                "tf": tf["count_all"],
-            }
-        )
+        tf = _exploded_pairs(b).group_by(["doc_id", "tok"]).aggregate([([], "count_all")])
+        return pa.table({"doc_id": tf["doc_id"], "tok": tf["tok"], "tf": tf["count_all"]})
 
     def df_partial(b: pa.Table) -> pa.Table:
         # each doc lives in exactly one batch → per-batch distinct-doc
-        # counts per token sum to the global df; emitted directly in the
-        # union row shape (doc_id == -1 tags a df-partial row) so the only
-        # exchange these rows ever see is the token-bucket join, where the
-        # in-bucket sum completes them
+        # counts per token sum to the global df; the only exchange these
+        # partials ever see is the token-bucket join, where the in-bucket
+        # sum completes them
         distinct = _exploded_pairs(b).group_by(["doc_id", "tok"]).aggregate([])
         vc = distinct["tok"].combine_chunks().value_counts()
-        toks = vc.field("values")
-        return pa.Table.from_pydict(
-            {
-                "part": _tok_buckets(toks),
-                "doc_id": pa.array(
-                    np.full(len(toks), -1, dtype="int64"), pa.int64()
-                ),
-                "tok": toks,
-                "tf": vc.field("counts").cast(pa.int64()),
-            }
-        )
+        return pa.table({"tok": vc.field("values"), "df": vc.field("counts")})
 
-    tf = ds.map_batches(tf_rows, batch_format="pyarrow")
-    df = ds.map_batches(df_partial, batch_format="pyarrow")
-
-    def _typed_empty_best(with_part: bool) -> pa.Table:
-        # typed empty Arrow block (b725db6 class): empty pandas object 'tok'
-        # would yield a schema-less RefBundle + a warning per empty group
-        cols = {
-            "doc_id": pa.array([], pa.int64()),
-            "tok": pa.array([], pa.string()),
-            "tf": pa.array([], pa.int64()),
-            "df": pa.array([], pa.int64()),
-        }
-        if with_part:
-            cols = {"part": pa.array([], pa.int64()), **cols}
-        return pa.Table.from_pydict(cols)
-
-    def bucket_best(g: pd.DataFrame) -> pa.Table:
-        # one token bucket: tf rows + df PARTIAL rows (doc_id == -1); every
-        # partial of a token lands here, so their sum is the global df
-        dfs = (
-            g.loc[g["doc_id"] == -1]
-            .groupby("tok", sort=False, as_index=False)["tf"]
-            .sum()
-        )
-        tfs = g[g["doc_id"] != -1]
-        m = tfs.merge(dfs.rename(columns={"tf": "df"}), on="tok")
-        if len(m) == 0:
-            return _typed_empty_best(with_part=True)
+    def bucket_best(tfs: pd.DataFrame, dfs: pd.DataFrame) -> pd.DataFrame:
+        # one token bucket: every df partial of a token lands here, so
+        # their sum is the global df
+        m = tfs.merge(dfs.groupby("tok", sort=False, as_index=False)["df"].sum(), on="tok")
         m["score"] = m["tf"].astype("float64") / m["df"].astype("float64")
         m = m.sort_values(
             ["doc_id", "score", "tok"], ascending=[True, False, True], kind="mergesort"
         ).drop_duplicates("doc_id")
-        m["part"] = (m["doc_id"] % nb).astype("int64")  # re-key by DOC for the regroup
-        return from_pandas_clean(m[["part", "doc_id", "tok", "tf", "df"]])
+        m["part"] = m["doc_id"] % nb  # re-key by DOC for the regroup
+        return m
 
-    both = tf.union(df)
-    local_best = both.groupby("part").map_groups(bucket_best, batch_format="pandas")
+    local_best = bucket_join(
+        (
+            ds.map_batches(tf_rows, batch_format="pyarrow"),
+            {"doc_id": pa.int64(), "tok": pa.string(), "tf": pa.int64()},
+        ),
+        (
+            ds.map_batches(df_partial, batch_format="pyarrow"),
+            {"tok": pa.string(), "df": pa.int64()},
+        ),
+        "tok",
+        nb,
+        bucket_best,
+        {
+            "part": pa.int64(),
+            "doc_id": pa.int64(),
+            "tok": pa.string(),
+            "tf": pa.int64(),
+            "df": pa.int64(),
+        },
+    )
 
     def final_best(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "top_term": pa.array([], pa.string()),
-                    "df": pa.array([], pa.int64()),
-                    "tf": pa.array([], pa.int64()),
-                }
-            )
         g = g.copy()
         g["score"] = g["tf"].astype("float64") / g["df"].astype("float64")
         g = g.sort_values(
@@ -590,11 +541,6 @@ def doc_distinctive_terms(sf_dir: str):
         )
 
     return local_best.groupby("part").map_groups(final_best, batch_format="pandas")
-
-
-def hash_bucket(tok: str, nb: int) -> int:
-    """Deterministic (seed-free) token → bucket: md5-low-bits mod nb."""
-    return int(hashlib.md5(tok.encode("utf-8")).hexdigest()[:8], 16) % nb
 
 
 NGRAM_N = 8  # decontamination n-gram width

@@ -153,23 +153,6 @@ def normalize_for_fuzzy(title: str) -> str:
     return collapse_ws(title.lower())
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Plain O(len(a)*len(b)) edit distance (titles are short)."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
-
-
 def _lcs_len(a: str, b: str) -> int:
     """Bit-parallel LCS length (Allison & Dix 1986): O(|a| · |b|/wordsize)
     via Python big-int bit ops — ~100× the DP on short titles, which makes

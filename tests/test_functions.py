@@ -19,7 +19,6 @@ from newsray.textfns import (
     fuzz_ratio,
     fuzzy_is_dup,
     html_to_text,
-    levenshtein,
     normalize_for_fuzzy,
     tokenize,
 )
@@ -149,9 +148,7 @@ def test_min_floor_on_small_lists():
 # -- D3: fuzzy dedup ----------------------------------------------------------
 
 
-def test_fuzz_ratio_and_levenshtein():
-    assert levenshtein("abc", "abc") == 0
-    assert levenshtein("abc", "abd") == 1
+def test_fuzz_ratio():
     assert fuzz_ratio("same", "same") == 100
     assert fuzz_ratio("", "") == 100
     assert 0 <= fuzz_ratio("abcdef", "uvwxyz") <= 100

@@ -56,6 +56,7 @@ ORACLE_SUBSET = [
     "term_lookup_indexed",
     "user_activity_full",
     "daily_events_7d_ma",
+    "top10_customers_by_revenue",
 ]
 
 
@@ -278,6 +279,10 @@ def test_n_buckets_scales_with_data_size():
         "doc_distinctive_terms",
         "deterministic_shuffle",
         "user_activity_full",
+        "customers_without_orders",
+        "customers_with_urgent_orders",
+        "revenue_by_priority",
+        "top10_customers_by_revenue",
     ],
 )
 def test_bucket_count_invariance(harness, name, monkeypatch):
@@ -308,6 +313,102 @@ def test_bucket_count_invariance(harness, name, monkeypatch):
             ).hexdigest()
         )
     assert len(digests) == 1, f"{name} output varies with bucket count"
+
+
+def _keyed_frames(rng, keys, n_left, n_right):
+    """Seeded left/right frames over a shared key pool: duplicate keys on
+    both sides, several rows per key, and keys only one side holds."""
+    lk = rng.choice(keys, n_left)
+    rk = rng.choice(keys[len(keys) // 3 :], n_right)  # some left keys never match
+    left = pd.DataFrame({"name": [f"n{i}" for i in range(n_left)]})
+    right = pd.DataFrame({"pn": rng.integers(1, 9, n_right), "score": rng.random(n_right)})
+    return left, right, lk, rk
+
+
+def _with_key(df, on, keys):
+    if len(on) == 1:
+        return df.assign(**{on[0]: keys})
+    parts = [k.split("|") for k in keys]
+    return df.assign(**{c: [p[i] for p in parts] for i, c in enumerate(on)})
+
+
+def _inner(on):
+    return lambda l, r: l.merge(r, on=on)
+
+
+def _full_outer(on):
+    def fn(l, r):
+        m = l.merge(r, on=on, how="outer", indicator=True)
+        m["matched"] = m["_merge"] == "both"
+        return m
+
+    return fn
+
+
+def _partial_sums(on):
+    def fn(l, r):
+        s = r.groupby(on, as_index=False)["pn"].sum()
+        m = l.merge(s, on=on, how="left")
+        m["pn"] = m["pn"].fillna(0)
+        return m
+
+    return fn
+
+
+@pytest.mark.parametrize("kind", ["int", "str", "str2"])
+@pytest.mark.parametrize("nb", [4, 64])
+@pytest.mark.parametrize("reduce", [_inner, _full_outer, _partial_sums])
+@pytest.mark.parametrize("empty", [None, "left", "right"])
+def test_bucket_join_matches_pandas_merge(ray_session, kind, nb, reduce, empty):
+    """`tabular.bucket_join` equals one pandas merge of the whole inputs,
+    for int keys (negatives included), string keys and a two-string key;
+    nb=64 exceeds the 12-key pool, so many buckets hold one side only (the
+    absent side must still reach ``reduce`` as a typed frame). The output
+    blocks carry the declared types and no pandas metadata."""
+    import numpy as np
+    import ray
+    import ray.data
+
+    from newsray.tabular import bucket_join
+
+    rng = np.random.default_rng(11)
+    if kind == "int":
+        on, pool, ktype = ["k"], np.arange(-6, 6, dtype="int64"), {"k": pa.int64()}
+    elif kind == "str":
+        on, pool, ktype = ["k"], np.array([f"w{i}" for i in range(12)]), {"k": pa.string()}
+    else:
+        on = ["w1", "w2"]
+        pool = np.array([f"a{i % 3}|b{i}" for i in range(12)])
+        ktype = {"w1": pa.string(), "w2": pa.string()}
+    left, right, lk, rk = _keyed_frames(rng, pool, 40, 60)
+    left, right = _with_key(left, on, lk), _with_key(right, on, rk)
+    if empty == "left":
+        left = left.iloc[:0]
+    elif empty == "right":
+        right = right.iloc[:0]
+    lschema = {**ktype, "name": pa.string()}
+    rschema = {**ktype, "pn": pa.int64(), "score": pa.float64()}
+    fn = reduce(on)
+    out = {**lschema, **rschema}
+    if reduce is _partial_sums:
+        out = {**lschema, "pn": pa.int64()}
+    elif reduce is _full_outer:
+        out["matched"] = pa.bool_()
+
+    def ds(df, schema):
+        t = pa.Table.from_pandas(df, schema=pa.schema(schema), preserve_index=False)
+        return ray.data.from_arrow([t.slice(0, len(df) // 2), t.slice(len(df) // 2)])
+
+    got = bucket_join((ds(left, lschema), lschema), (ds(right, rschema), rschema), on, nb, fn, out)
+    # a task with no input rows yields a column-less block
+    blocks = [b for b in ray.get(got.materialize().to_arrow_refs()) if b.num_columns]
+    assert blocks
+    for b in blocks:
+        assert b.schema == pa.schema(out)
+        assert b"pandas" not in (b.schema.metadata or {})
+    want = pa.Table.from_pandas(fn(left, right), schema=pa.schema(out), preserve_index=False)
+    got_df = _normalize(pa.concat_tables(blocks).to_pandas())
+    pd.testing.assert_frame_equal(got_df, _normalize(want.to_pandas()), check_exact=True)
 
 
 def test_value_percentiles_selection_nulls_dups_rounds(ray_session, tmp_path, monkeypatch):
@@ -507,7 +608,7 @@ def test_postings_lookup_reads_only_term_partitions(ray_session):
         build_postings_index,
         postings_dirs,
     )
-    from newsray.textan import hash_bucket
+    from newsray.tabular import hash_bucket
 
     out = os.path.join(POSTINGS_ROOT, hashlib.md5(SF.encode()).hexdigest()[:12])
     idx = build_postings_index(SF, out)

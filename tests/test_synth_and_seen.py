@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newsray.seen import CuckooFilter, shard_of, stable_hash64
-from newsray.sites import SITES, seed_count_total
+from newsray.sites import SITES
 from newsray.synth import SyntheticWeb, WebParams
 
 
 def test_seed_frontier_mirrors_reference_counts():
     web = SyntheticWeb(WebParams())
     seeds = web.seeds()
-    assert len(seeds) == seed_count_total() == 86
+    assert len(seeds) == 86
     per_site = {}
     for s in seeds:
         per_site[s["site"]] = per_site.get(s["site"], 0) + 1

@@ -40,8 +40,6 @@ ALLOWED = {
     "seen.WaveMinStage.resolve": PRE_FUSED,
     "seen.SeenFilterStage": PRE_FUSED,
     "synth.write_keyword_config": PENDING_3,
-    "textfns.levenshtein": PENDING_3,
-    "sites.seed_count_total": PENDING_3,
 }
 # Kinds of definition the runtime calls by protocol, not by name.
 HTMLPARSER_HOOK = "HTMLParser hook: the base class's feed() calls it"
