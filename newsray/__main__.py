@@ -50,7 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="prior run's day-grouped JSON export dir: seed the URL-seen "
         "set from {site}_News.json files (the reference's "
         "get_existing_links — the no-checkpoint migration path; "
-        "--checkpoint-dir wins when both are given)",
+        "--checkpoint-dir wins when both are given: a checkpointed run keeps "
+        "the seeded URLs with its first wave, so a resume does not re-read "
+        "the exports)",
     )
     c.add_argument("--extra-sections", type=int, default=0, help="widen the frontier")
     c.add_argument("--max-waves", type=int, default=None, help="BFS wave cap")

@@ -102,15 +102,18 @@ def parse_cascade(raw: str | None, fmt_names: tuple[str, ...], now: datetime) ->
 def _parse_one_series(sub, name: str, now: datetime):
     """Vector twin of ``parse_one`` over a pandas string Series (NaT where
     the format does not match). Must stay semantically identical — the
-    equivalence is property-tested against the scalar cascade."""
+    equivalence is property-tested against the scalar cascade. Date parts
+    are assembled only for the rows whose partial parse matched: the NaN
+    parts of the others made pandas' unit arithmetic overflow."""
     import pandas as pd
 
     if name == "ymd_dot_hms":
         return pd.to_datetime(sub, format="%Y.%m.%d. %H:%M:%S", errors="coerce")
     if name == "hm_today":
         t = pd.to_datetime(sub, format="%H:%M", errors="coerce")
+        t = t[t.notna()]
         base = pd.Timestamp(now.year, now.month, now.day)
-        return base + pd.to_timedelta(t.dt.hour * 60 + t.dt.minute, unit="m")
+        return (base + pd.to_timedelta(t.dt.hour * 60 + t.dt.minute, unit="m")).reindex(sub.index)
     if name == "ymd_dash_hms":
         return pd.to_datetime(sub, format="%Y-%m-%d %H:%M:%S", errors="coerce")
     if name == "ymd_dash_hm":
@@ -119,6 +122,7 @@ def _parse_one_series(sub, name: str, now: datetime):
         return pd.to_datetime(sub, format="%Y.%m.%d %H:%M", errors="coerce")
     if name == "md_hm_yearinject":
         t = pd.to_datetime(sub, format="%m-%d %H:%M", errors="coerce")
+        t = t[t.notna()]
         parts = pd.DataFrame(
             {
                 "year": now.year,
@@ -127,20 +131,17 @@ def _parse_one_series(sub, name: str, now: datetime):
                 "hour": t.dt.hour,
                 "minute": t.dt.minute,
             },
-            index=sub.index,
+            index=t.index,
         )
-        return pd.to_datetime(parts, errors="coerce")  # Feb 29 → NaT, like scalar
+        # Feb 29 → NaT, like scalar
+        return pd.to_datetime(parts, errors="coerce").reindex(sub.index)
     if name == "korean_ymd":
-        ex = sub.str.extract(_KOREAN_RE)
+        ex = sub.str.extract(_KOREAN_RE).dropna()
         parts = pd.DataFrame(
-            {
-                "year": pd.to_numeric(ex[0], errors="coerce"),
-                "month": pd.to_numeric(ex[1], errors="coerce"),
-                "day": pd.to_numeric(ex[2], errors="coerce"),
-            },
-            index=sub.index,
+            {"year": ex[0].astype(int), "month": ex[1].astype(int), "day": ex[2].astype(int)},
+            index=ex.index,
         )
-        return pd.to_datetime(parts, errors="coerce")
+        return pd.to_datetime(parts, errors="coerce").reindex(sub.index)
     if name == "iso_z_kst":
         ok = sub.str.match(_ISO_Z_RE.pattern)  # the scalar path's anchored regex
         t = pd.to_datetime(

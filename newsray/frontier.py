@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray
 
 from .seen import stable_hash64
@@ -55,12 +56,12 @@ class HostScheduler:
         self.used[host] = used + granted
         return start, granted
 
-    def dump(self) -> dict:
-        return {"next_free": dict(self.next_free), "used": dict(self.used)}
-
-    def restore(self, state: dict) -> None:
-        self.next_free.update(state.get("next_free", {}))
-        self.used.update(state.get("used", {}))
+    def replay(self, grants: list[tuple[str, int, float]]) -> None:
+        """Rebuild the state from past grants, (host, n, delay) in wave
+        order: ``reserve`` again over each, so the clocks and budget
+        counters come out bit for bit as the live calls left them."""
+        for host, n, delay in grants:
+            self.reserve(host, n, delay)
 
 
 def make_scheduler_pool(
@@ -74,6 +75,28 @@ def make_scheduler_pool(
 
 def scheduler_shard_of(host: str, n_shards: int) -> int:
     return stable_hash64("h:" + host) % n_shards
+
+
+def host_delay(site: str) -> float:
+    return SITES[site].politeness_delay if site in SITES else 1.0
+
+
+def replay_grants(schedulers: list, wave_flogs: list[pa.Table]) -> None:
+    """Rebuild the pool's politeness state from fetch logs, one table
+    (host, site) per wave in wave order: a host's grant in a wave is its
+    fetch count there (every released row is fetched and logged), replayed
+    on the shard ``scheduler_shard_of`` picks for the pool's CURRENT size —
+    one ``replay`` call per shard."""
+    n = len(schedulers)
+    by: dict[int, list[tuple[str, int, float]]] = {}
+    for t in wave_flogs:
+        counts = t.group_by(["host", "site"]).aggregate([([], "count_all")])
+        for host, site, k in zip(
+            counts["host"].to_pylist(), counts["site"].to_pylist(),
+            counts["count_all"].to_pylist(),
+        ):
+            by.setdefault(scheduler_shard_of(host, n), []).append((host, k, host_delay(site)))
+    ray.get([schedulers[sid].replay.remote(g) for sid, g in by.items()])
 
 
 class ScheduleGroup:
@@ -91,14 +114,11 @@ class ScheduleGroup:
         self.schedulers = schedulers
 
     def __call__(self, g: pd.DataFrame):
-        import pyarrow as pa
-
         if len(g) == 0:
             g = g.assign(released_at_virtual=np.zeros(0))
             return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
         host = g["host"].iloc[0]
-        site = g["site"].iloc[0]
-        delay = SITES[site].politeness_delay if site in SITES else 1.0
+        delay = host_delay(g["site"].iloc[0])
         g = g.sort_values("discovered_seq", kind="mergesort")
         shard = self.schedulers[scheduler_shard_of(host, len(self.schedulers))]
         start, granted = ray.get(shard.reserve.remote(host, len(g), delay))

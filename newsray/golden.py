@@ -10,9 +10,10 @@ then a ``read_parquet`` over the dump, which the driver's DuckDB gate diffs
 hash-exactly against the Ray pipeline output.
 
 The dumps are computed once per machine at import (``ensure_goldens`` is
-called from ``registry.load_all``) for the driver's correctness scale
-(sf0.01 — the only scale the side-by-side gate runs at) and are guarded by
-a version marker so stale dumps recompute after logic changes.
+called from ``registry.load_all``) for the scale-factor dir named by
+``GRAFT_ORACLE_SF_DIR`` (default sf0.01, the driver's correctness scale),
+each scale-factor dir in its own directory, and are guarded by a version
+marker so stale dumps recompute after logic changes.
 
 Independence notes, per golden:
 * crawl family      — the sequential oracle crawler (`oracle.run_oracle`),
@@ -37,8 +38,16 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 GOLDEN_VERSION = 11  # v10: + chunk_embed_index; v11: + dedup_keep_best
-GOLDEN_ROOT = "/tmp/newsray_golden"
 SF_FIXED = os.environ.get("GRAFT_ORACLE_SF_DIR", "/root/testdata/sf0.01")
+
+
+# one dump dir per scale-factor dir: runs at different scale factors never
+# share, or rebuild, each other's dumps
+_SF_ABS = os.path.abspath(SF_FIXED)
+GOLDEN_ROOT = os.path.join(
+    "/tmp/newsray_golden",
+    f"{os.path.basename(_SF_ABS)}-{hashlib.blake2b(_SF_ABS.encode(), digest_size=4).hexdigest()}",
+)
 
 CRAWL_SITES = ("nate", "naver", "google", "skydaily")
 

@@ -55,6 +55,7 @@ from urllib.parse import urlparse
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pds
 import ray
 import ray.data
 
@@ -70,7 +71,7 @@ from .extract import (
 from .frontier import ScheduleGroup, make_scheduler_pool
 from .oracle import effective_page_cap, make_matcher
 from .policy import CrawlPolicy
-from .seen import WaveMinStage, make_seen_pool
+from .seen import WaveMinStage, make_seen_pool, restore_keys, seen_keys
 from .sites import SITE_RANK, SITES
 from .synth import WebParams
 from .textfns import KeywordMatcher, fuzzy_is_dup, html_to_text, normalize_for_fuzzy
@@ -78,7 +79,8 @@ from .textfns import KeywordMatcher, fuzzy_is_dup, html_to_text, normalize_for_f
 # unified wave-output schema (the fused fetch+parse stage emits all rowkinds)
 WAVE_SCHEMA = pa.schema(
     [
-        ("rowkind", pa.string()),  # 'cand' | 'next' | 'doc' | 'frontier' | 'flog'
+        # 'cand' | 'next' | 'doc' | 'frontier' | 'flog' | 'useen' | 'tseen'
+        ("rowkind", pa.string()),
         ("site", pa.string()),
         ("category", pa.string()),
         ("seed_rank", pa.int32()),
@@ -537,7 +539,8 @@ def make_stripe(k: int):
 # The live wave (run_wave) and checkpoint restore derive the fetch log and
 # the next frontier from a wave's rows with these same batch functions, and
 # finalize derives the docs; ``drop`` is the retracted-seq set (None once
-# rows are checkpointed, which already excludes it).
+# rows are checkpointed, which already excludes it). Restore also folds
+# the flog, useen and tseen rows back into scheduler and seen-set state.
 
 
 def drop_retracted(b: pa.Table, drop: pa.Array | None = None) -> pa.Table:
@@ -564,13 +567,29 @@ def to_frontier(b: pa.Table, drop: pa.Array | None = None) -> pa.Table:
     return b.append_column("kind", kind).select(FRONTIER_COLS).cast(FRONTIER_SCHEMA)
 
 
+def seen_rows(kind: str, b: pa.Table, key_col: str) -> pa.Table:
+    """A wave's record of the seen-set claims it made: one ``kind`` row
+    ('useen' / 'tseen') per accepted claim, holding site, the key column
+    and discovered_seq, every other column null."""
+    n = b.num_rows
+    live = {"rowkind": pa.array([kind] * n, pa.string())}
+    live.update((c, b[c]) for c in ("site", key_col, "discovered_seq"))
+    return pa.Table.from_pydict(
+        {f.name: live.get(f.name, pa.nulls(n, f.type)) for f in WAVE_SCHEMA},
+        schema=WAVE_SCHEMA,
+    )
+
+
 def checkpoint_rows(b: pa.Table, drop: pa.Array | None = None) -> pa.Table:
-    """A wave's checkpointed rows: flog rows unchanged, every other rowkind
-    (doc / next / frontier) minus the retracted seqs."""
+    """A wave's checkpointed rows: flog and useen rows unchanged, every
+    other rowkind (doc / next / frontier / tseen) minus the retracted seqs.
+    So the kept useen rows are every URL key the wave inserted, and the
+    kept tseen rows are exactly the title winners (``resolve_titles``): a
+    title held only by retracted rows stays unseen."""
     if drop is None or b.num_rows == 0:
         return b
     keep = pc.or_(
-        pc.equal(b["rowkind"], "flog"),
+        pc.is_in(b["rowkind"], value_set=pa.array(["flog", "useen"])),
         pc.invert(pc.is_in(b["discovered_seq"], value_set=drop)),
     )
     return b.filter(keep)
@@ -603,8 +622,10 @@ class PipelineConfig:
     # S5 existing-output bootstrap: seed the URL-seen shards from a prior
     # run's day-grouped JSON exports (the reference's get_existing_links —
     # the no-checkpoint migration path). Checkpoint restore wins when both
-    # are configured; like the reference, a bootstrapped rerun re-fetches
-    # listings but never re-emits a seen article.
+    # are configured: a checkpointed run keeps the seeded URLs with its
+    # wave 0 input, so a resume neither re-reads the exports nor loses
+    # them. Like the reference, a bootstrapped rerun re-fetches listings
+    # but never re-emits a seen article.
     bootstrap_output_dir: str | None = None
 
 
@@ -633,7 +654,9 @@ class CrawlPipeline:
         self.start_wave = 0
         self._frontier0: pa.Table | None = None
         self._restored = False
-        self._bootstrapped = False
+        # the (site, canon_url) pairs bootstrap_seen seeded, None if it did
+        # not run: wave 0 checkpoints them as input
+        self._bootstrapped: pa.Table | None = None
         # where finalize_streaming reads the crawl's doc rows: the live
         # waves' materialized datasets and the rows files of
         # checkpoint-restored waves (never a driver copy of either)
@@ -658,25 +681,21 @@ class CrawlPipeline:
         per-site parse, `sink.get_existing_links`) for users migrating WITH
         existing outputs but WITHOUT a checkpoint. Exported ``url`` IS the
         canonical URL (articles store canon_url in both url fields), so the
-        keys match the wave protocol's claim keys exactly. Returns the
-        number of URLs seeded."""
-        from .seen import shard_of
+        keys match the wave protocol's claim keys exactly. A checkpointed
+        run keeps the seeded pairs with wave 0's input, so a resume restores
+        them too. Returns the number of URLs seeded."""
         from .sink import load_existing_links
 
-        links = load_existing_links(out_dir)
-        keys = [
-            f"u:{site}\x1f{url}"
-            for site, urls in sorted(links.items())
-            for url in sorted(urls)
-        ]
-        n = len(self.seen_shards)
-        by: dict[int, list[str]] = {}
-        for k in keys:
-            by.setdefault(shard_of(k, n), []).append(k)
-        ray.get(
-            [self.seen_shards[sid].restore.remote(ks) for sid, ks in by.items()]
+        sites, urls = [], []
+        for site, seen in sorted(load_existing_links(out_dir).items()):
+            for url in sorted(seen):
+                sites.append(site)
+                urls.append(url)
+        restore_keys(self.seen_shards, seen_keys("u", sites, urls))
+        self._bootstrapped = pa.table(
+            {"site": pa.array(sites, pa.string()), "canon_url": pa.array(urls, pa.string())}
         )
-        return len(keys)
+        return len(urls)
 
     def seed_frontier(self) -> pa.Table:
         rows = []
@@ -707,10 +726,12 @@ class CrawlPipeline:
         materialized execution — fetch-log rows and the next frontier never
         aggregate on the driver (the driver sees counts and the tiny
         title-retraction set; per-wave driver state is O(hosts)).
-        ``rows_ds`` is what the wave checkpoints (checkpoint.write_wave);
-        restore rebuilds the fetch log and the next frontier from it. The
-        wave's doc rows stay in its materialized blocks (``_wave_ds``),
-        which finalize_streaming reads.
+        ``rows_ds`` is what the wave checkpoints (checkpoint.write_wave),
+        and all a restore needs: the fetch log, the next frontier, the
+        politeness state (a fold over the fetch log) and the seen set (its
+        useen / tseen claim rows). The wave's doc rows stay in its
+        materialized blocks (``_wave_ds``), which finalize_streaming
+        reads.
 
         ONE fused heavy streaming execution per wave, ZERO candidate
         shuffles: schedule (groupby host — the one unavoidable exchange,
@@ -799,6 +820,8 @@ class CrawlPipeline:
             t_rows = cands.filter(is_t)
             if t_rows.num_rows:
                 t_rows = title_wave.record(t_rows)  # deferred contention
+            # the claims this batch made, as rows: the checkpoint's seen set
+            claimed = [seen_rows("useen", cands, "canon_url"), seen_rows("tseen", t_rows, "title")]
             merged = pa.concat_tables(
                 [t_rows.select(WAVE_SCHEMA.names),
                  cands.filter(pc.invert(is_t)).select(WAVE_SCHEMA.names)]
@@ -818,7 +841,7 @@ class CrawlPipeline:
                 },
             )
             return pa.concat_tables(
-                [others.select(WAVE_SCHEMA.names), fin.select(WAVE_SCHEMA.names)]
+                [others.select(WAVE_SCHEMA.names), *claimed, fin.select(WAVE_SCHEMA.names)]
             )
 
         parsed = (
@@ -891,13 +914,14 @@ class CrawlPipeline:
     # -- full run -------------------------------------------------------------
 
     def run(self, frontier: pa.Table | None = None) -> dict:
+        """The wave loop, then finalize. With ``checkpoint_dir`` set, a
+        re-submitted job RESUMES from the checkpoint's last completed wave
+        (at any shard counts), and every wave it runs is checkpointed; an
+        explicit checkpoint.restore() call first makes the auto-restore a
+        no-op."""
         from . import checkpoint as ckpt
 
         cfg = self.cfg
-        # a re-submitted job with an existing checkpoint RESUMES (ADVICE r2:
-        # without this a rerun started at wave 0 over advanced seen-log
-        # offsets and silently corrupted the delta chain); explicit
-        # checkpoint.restore() calls set _restored so this is a no-op then
         if cfg.checkpoint_dir and not self._restored and frontier is None:
             # restore() returns False for an EMPTY checkpoint dir (a fresh
             # run that will start checkpointing forward) — that must not
@@ -908,15 +932,15 @@ class CrawlPipeline:
         else:
             restored_state = self._restored
         # S5 existing-output bootstrap (no-checkpoint migration path): an
-        # ACTUAL checkpoint restore carries strictly more state, so it wins;
-        # an empty checkpoint dir does not
+        # ACTUAL checkpoint restore carries strictly more state (its wave 0
+        # input holds the keys a bootstrap seeded), so it wins; an empty
+        # checkpoint dir does not
         if (
             cfg.bootstrap_output_dir
             and not restored_state
-            and not self._bootstrapped
+            and self._bootstrapped is None
         ):
             self.bootstrap_seen(cfg.bootstrap_output_dir)
-            self._bootstrapped = True
         if frontier is None:
             frontier = self._frontier0 if self._frontier0 is not None else self.seed_frontier()
         seed = frontier if isinstance(frontier, pa.Table) else None
@@ -928,7 +952,7 @@ class CrawlPipeline:
         wave = self.start_wave
         while n_frontier > 0 and wave < cfg.policy.max_waves:
             if cfg.checkpoint_dir:
-                ckpt.write_frontier_in(cfg.checkpoint_dir, wave, seed)
+                ckpt.write_frontier_in(cfg.checkpoint_dir, wave, seed, self._bootstrapped)
             nxt, flog, rows, n_retracted = self.run_wave(wave, frontier, n_est=n_frontier)
             self.fetch_logs.append(flog)
             totals = ray.get(self.metrics.wave_totals.remote(wave))
@@ -957,10 +981,7 @@ class CrawlPipeline:
                 }
             )
             if cfg.checkpoint_dir:
-                ckpt.write_wave(
-                    cfg.checkpoint_dir, wave, rows,
-                    self.seen_shards, self.schedulers, self.wave_metrics[-1],
-                )
+                ckpt.write_wave(cfg.checkpoint_dir, wave, rows, self.wave_metrics[-1])
             frontier = nxt
             n_frontier = n_next
             wave += 1
@@ -1066,7 +1087,13 @@ class CrawlPipeline:
         files = self._restored_row_files
         sources = list(self._wave_ds)
         if files:
-            sources.append(ray.data.read_parquet(files, override_num_blocks=len(files)))
+            # the doc rows only, so that the claim and fetch-log rows the
+            # files also hold do not count towards the map's batches
+            sources.append(
+                ray.data.read_parquet(
+                    files, override_num_blocks=len(files), filter=pds.field("rowkind") == "doc"
+                )
+            )
         if not sources:
             sources.append(ray.data.from_arrow(WAVE_SCHEMA.empty_table()))
         rows = sources[0].union(*sources[1:]) if len(sources) > 1 else sources[0]

@@ -10,13 +10,18 @@ Each shard holds
 * a cuckoo filter (2-choice bucketed fingerprints, public Fan et al. 2014
   design) — the fast membership path that at 10^10-URL scale is the only
   structure that fits in RAM, and
-* an exact backing set — the checkpointed authority that resolves cuckoo
-  false positives, so the URL-seen *set equality* gate stays exact
+* an exact backing set — the authority that resolves cuckoo false
+  positives, so the URL-seen *set equality* gate stays exact
   (SURVEY §7.5.5). At design scale the exact layer is a spillable per-shard
   store; at test scale a Python set.
 
-``check_and_insert`` is the batched RPC the dedup ``map_batches`` stage
-calls: one round-trip per (batch × shard), ≥1k keys per call.
+The wave's gate stage claims URL keys greedily (``claim_insert``: a lower
+seq overtakes and retracts the earlier claimant) and records title
+claimants (``record_title_claim``), resolved at the wave barrier
+(``resolve_titles``); ``WaveMinStage`` is the batched ``map_batches`` side,
+one round-trip per (batch × shard). A shard keeps no log: the wave's
+checkpointed rows carry its accepted claims, and a restore re-routes them
+with ``shard_of`` over the pool's current size (``restore_keys``).
 """
 
 from __future__ import annotations
@@ -35,6 +40,23 @@ def stable_hash64(key: str) -> int:
 
 def shard_of(key: str, n_shards: int) -> int:
     return stable_hash64(key) % n_shards
+
+
+def seen_keys(space: str, sites: list, vals: list) -> list[str]:
+    """Namespaced shard keys, ``'<space>:<site>\\x1f<value>'`` (space 'u'
+    for URLs, 't' for titles)."""
+    return [f"{space}:{s}\x1f{v}" for s, v in zip(sites, vals)]
+
+
+def restore_keys(shards: list, keys: list[str]) -> None:
+    """Route each key with ``shard_of`` over the pool's CURRENT size and
+    insert it: one bulk ``SeenShard.restore`` call per shard. Keys from a
+    pool of any other size land where this pool's lookups route them."""
+    n = len(shards)
+    by: dict[int, list[str]] = {}
+    for k in keys:
+        by.setdefault(shard_of(k, n), []).append(k)
+    ray.get([shards[sid].restore.remote(ks) for sid, ks in by.items()])
 
 
 class CuckooFilter:
@@ -112,20 +134,11 @@ class SeenShard:
         self.shard_id = shard_id
         self.cuckoo = CuckooFilter(capacity)
         self.exact: set[str] = set()
-        # insertion-ordered log backing INCREMENTAL checkpoints: a wave dumps
-        # only log[offset:] (bytes per wave ∝ new URLs, not total URLs)
-        self.log: list[str] = []
-        # replay-safety (Ray Data tasks are retryable): the (key -> seq)
-        # accepted in the CURRENT wave, so a re-executed block gets the same
-        # verdicts instead of silently dropping its rows
-        self.wave_min: dict[str, int] = {}
-        self.wave_accepted: dict[str, int] = {}
-        # greedy claim state (URL keyspace in the fused protocol): key ->
-        # winning seq, plus the seqs whose provisional acceptance a
-        # lower-seq claim retracted
+        # greedy claim state (URL keyspace): key -> winning seq, plus the
+        # seqs whose provisional acceptance a lower-seq claim retracted
         self.claims: dict[str, int] = {}
         self.retracted: set[int] = set()
-        # deferred title contention (fused protocol): key -> every claimant
+        # deferred title contention: key -> every claimant
         # seq this wave; winners picked at the wave barrier once the URL
         # retractions are known (resolve_titles)
         self.tclaims: dict[str, set[int]] = {}
@@ -138,87 +151,30 @@ class SeenShard:
         if not self.cuckoo.insert(k):
             self.cuckoo_degraded = True
         self.exact.add(k)
-        self.log.append(k)
 
     def _seen_before(self, k: str) -> bool:
         if self.cuckoo_degraded:
             return k in self.exact
         return self.cuckoo.contains(k) and k in self.exact
 
-    def check_and_insert(self, keys: list[str]) -> list[bool]:
-        """For each key: True = first sighting (inserted now). Cuckoo fast
-        path; exact set resolves false positives and is the authority."""
-        out = []
-        for k in keys:
-            new = not self._seen_before(k)
-            if new:
-                self._insert(k)
-            out.append(new)
-        return out
-
-    # -- two-phase within-wave min-seq protocol (shuffle-free dedup) --------
-    #
-    # A wave's duplicate candidates must resolve deterministically to the
-    # minimum discovered_seq (SURVEY §7.5.1). Instead of a hash-partitioned
-    # groupby (an all-to-all shuffle per wave), the pipeline exploits that
-    # all copies of a key already hash-route to THIS shard:
-    #   phase 1 (register_wave_min) runs inside the previous execution —
-    #     every candidate reports (key, seq); the shard keeps the per-key
-    #     minimum. The execution's materialize barrier guarantees all
-    #     registrations land before phase 2 starts.
-    #   phase 2 (resolve_insert) accepts exactly the row whose seq equals
-    #     the registered wave-minimum AND whose key is new across waves,
-    #     then inserts it (cuckoo + exact).
-
     def begin_wave(self) -> None:
-        self.wave_min = {}
-        self.wave_accepted = {}
         self.claims = {}
         self.retracted = set()
         self.tclaims = {}
 
-    def register_wave_min(self, keys: list[str], seqs: list[int]) -> int:
-        wm = self.wave_min
-        for k, s in zip(keys, seqs):
-            prev = wm.get(k)
-            if prev is None or s < prev:
-                wm[k] = s
-        return len(wm)
-
-    def resolve_insert(self, keys: list[str], seqs: list[int]) -> list[bool]:
-        out = []
-        wm = self.wave_min
-        acc = self.wave_accepted
-        for k, s in zip(keys, seqs):
-            if wm.get(k) != s:
-                out.append(False)  # a same-wave duplicate with smaller seq wins
-                continue
-            if self._seen_before(k):
-                # replay-safe: if a retried task re-presents the exact row
-                # this wave already accepted, say True again — otherwise a
-                # re-executed block would silently drop rows whose URLs stay
-                # marked seen (never recrawled)
-                out.append(acc.get(k) == s)
-                continue
-            self._insert(k)
-            acc[k] = s
-            out.append(True)
-        return out
-
-    # -- one-phase greedy claim with retraction (title keyspace) ------------
+    # -- one-phase greedy claim with retraction (URL keyspace) --------------
     #
-    # The two-phase min-seq protocol needs a materialize barrier between
-    # register and resolve — one extra streaming execution per wave. Titles
-    # instead claim GREEDILY in arrival order inside the URL-resolve pass:
-    # the first claimant of a key this wave wins provisionally; if a
-    # lower-seq claimant arrives later it takes the key and the earlier
-    # seq is RETRACTED. The driver collects the (tiny) retraction set at the
-    # wave barrier and filters those rows out of the wave's doc/frontier
-    # outputs — the final accepted set is exactly the per-key wave minimum,
-    # with one fewer execution per wave. Exactly the oracle's semantics:
-    # a retracted row's URL stays seen (URL insert precedes the title
-    # check), the title key stays seen (the winner holds it), and the
-    # retracted row's outputs never leave the wave.
+    # A wave's duplicate candidates must resolve deterministically to the
+    # minimum discovered_seq (SURVEY §7.5.1), without a register/resolve
+    # barrier or a shuffle: all copies of a key hash-route to THIS shard,
+    # and keys claim GREEDILY in arrival order: the first claimant of a key
+    # this wave wins provisionally; if a lower-seq claimant arrives later it
+    # takes the key and the earlier seq is RETRACTED. The driver collects
+    # the (tiny) retraction set at the wave barrier and filters those rows
+    # out of the wave's doc/frontier outputs — the final accepted set is
+    # exactly the per-key wave minimum. Exactly the oracle's semantics: a
+    # retracted row's URL stays seen, and its outputs never leave the wave.
+    # A retried task re-presenting its win gets True again.
 
     def claim_insert(self, keys: list[str], seqs: list[int]) -> list[bool]:
         out = []
@@ -244,7 +200,7 @@ class SeenShard:
     def wave_retractions(self) -> list[int]:
         return sorted(self.retracted)
 
-    # -- deferred title contention (fused one-execution wave protocol) ------
+    # -- deferred title contention ------------------------------------------
     #
     # With URL dedup itself greedy (claim_insert above), a title claimant's
     # validity isn't knowable in-task: its URL claim may be retracted later
@@ -289,29 +245,15 @@ class SeenShard:
                 drops.extend(holders)  # no valid holder: key stays unseen
         return sorted(set(drops))
 
-    def contains(self, keys: list[str]) -> list[bool]:
-        return [k in self.exact for k in keys]
-
     def dump(self) -> list[str]:
         """Full dump (sorted for determinism) — audits/tests, not checkpoints."""
         return sorted(self.exact)
 
-    def dump_since(self, offset: int) -> list[str]:
-        """Incremental checkpoint payload: insertions after ``offset``
-        (insertion order). The checkpoint manifest tracks per-shard offsets,
-        so per-wave checkpoint bytes ∝ newly-seen keys, not total keys."""
-        return self.log[offset:]
-
-    def log_len(self) -> int:
-        return len(self.log)
-
     def restore(self, keys: list[str]) -> int:
+        """Bulk insert (checkpoint restore, output bootstrap); idempotent."""
         for k in keys:
             if k not in self.exact:
                 self._insert(k)
-        return len(self.exact)
-
-    def size(self) -> int:
         return len(self.exact)
 
 
@@ -328,9 +270,10 @@ def make_seen_pool(
 
 
 class WaveMinStage:
-    """``map_batches`` callables for the two-phase protocol above. Both block
-    on the shard RPCs (ray.get) so the enclosing execution's barrier
-    guarantees completion ordering."""
+    """``map_batches`` callables of the wave protocol over one keyspace:
+    each batch's keys go to their shards in one blocking RPC per shard, and
+    the rows whose claim the shard accepts stay. The per-key wave minimum
+    comes out of the claim's retractions, dropped at the wave barrier."""
 
     def __init__(self, shards: list, keyspace: str, site_col: str, key_col: str):
         self.shards = shards
@@ -339,9 +282,9 @@ class WaveMinStage:
         self.key_col = key_col
 
     def _keys(self, batch) -> list[str]:
-        sites = batch[self.site_col].to_pylist()
-        vals = batch[self.key_col].to_pylist()
-        return [f"{self.keyspace}:{s}\x1f{v}" for s, v in zip(sites, vals)]
+        return seen_keys(
+            self.keyspace, batch[self.site_col].to_pylist(), batch[self.key_col].to_pylist()
+        )
 
     def _by_shard(self, keys: list[str]) -> dict[int, list[int]]:
         n = len(self.shards)
@@ -350,34 +293,16 @@ class WaveMinStage:
             by.setdefault(shard_of(k, n), []).append(idx)
         return by
 
-    def register(self, batch):
-        if batch.num_rows == 0:
-            return batch
-        keys = self._keys(batch)
-        seqs = batch["discovered_seq"].to_pylist()
-        futs = [
-            self.shards[sid].register_wave_min.remote(
-                [keys[r] for r in rows], [seqs[r] for r in rows]
-            )
-            for sid, rows in self._by_shard(keys).items()
-        ]
-        ray.get(futs)  # barrier within the task: registrations are durable
-        return batch
-
-    def resolve(self, batch):
-        return self._verdict_filter(batch, "resolve_insert")
-
     def claim(self, batch):
-        """One-phase greedy claim (no prior register pass): first claimant
-        wins provisionally, lower seq overtakes + retracts; retractions
-        collected at the wave barrier."""
+        """One-phase greedy claim: first claimant wins provisionally, lower
+        seq overtakes + retracts; retractions collected at the wave
+        barrier."""
         return self._verdict_filter(batch, "claim_insert")
 
     def record(self, batch):
-        """Deferred contention (fused wave protocol): record every same-wave
-        claimant, dropping only keys already held from earlier waves; the
-        barrier's resolve_titles picks winners once URL retractions are
-        known."""
+        """Deferred contention: record every same-wave claimant, dropping
+        only keys already held from earlier waves; the barrier's
+        resolve_titles picks winners once URL retractions are known."""
         return self._verdict_filter(batch, "record_title_claim")
 
     def _verdict_filter(self, batch, method: str):
@@ -401,37 +326,3 @@ class WaveMinStage:
             for r, ok in zip(rows, res):
                 mask[r] = ok
         return batch.filter(pa.array(mask, pa.bool_()))
-
-
-class SeenFilterStage:
-    """``map_batches`` callable: batched check-and-insert against the shard
-    pool; keeps rows whose key is new. Handles are captured at construction
-    (broadcast once, not per batch)."""
-
-    def __init__(self, shards: list, keyspace: str, site_col: str, key_col: str):
-        self.shards = shards
-        self.keyspace = keyspace
-        self.site_col = site_col
-        self.key_col = key_col
-
-    def __call__(self, batch):
-        import pyarrow as pa
-
-        if batch.num_rows == 0:
-            return batch
-        sites = batch[self.site_col].to_pylist()
-        vals = batch[self.key_col].to_pylist()
-        keys = [f"{self.keyspace}:{s}\x1f{v}" for s, v in zip(sites, vals)]
-        n = len(self.shards)
-        by_shard: dict[int, list[int]] = {}
-        for idx, k in enumerate(keys):
-            by_shard.setdefault(shard_of(k, n), []).append(idx)
-        futs, idxs = [], []
-        for sid, rows in by_shard.items():
-            futs.append(self.shards[sid].check_and_insert.remote([keys[r] for r in rows]))
-            idxs.append(rows)
-        mask = [False] * len(keys)
-        for rows, res in zip(idxs, ray.get(futs)):
-            for r, new in zip(rows, res):
-                mask[r] = new
-        return batch.filter(pa.array(mask))

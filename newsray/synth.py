@@ -76,33 +76,6 @@ def load_keyword_config(path: str) -> tuple[list[str], list[str], list[dict]]:
     return includes, excludes, rows
 
 
-def write_keyword_config(path: str, seed: int = 42) -> None:
-    """Emit the synthetic keyword lists in the reference's config format
-    (fixture/round-trip helper — the user-facing "edit the keyword file"
-    surface, SURVEY §2.9)."""
-    import json
-    from collections import defaultdict
-
-    includes, excludes, rows = build_keywords(seed)
-    by_cat: dict[tuple[str, str], list[str]] = defaultdict(list)
-    for r in rows:
-        by_cat[(r["polarity"], r["category"])].append(r["keyword"])
-    payload = {
-        "keywords": [
-            {"category": c, "items": v}
-            for (p, c), v in sorted(by_cat.items())
-            if p == "include"
-        ],
-        "exclude_keywords": [
-            {"category": c, "items": v}
-            for (p, c), v in sorted(by_cat.items())
-            if p == "exclude"
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, ensure_ascii=False, indent=2)
-
-
 def build_keywords(seed: int = 42, n_include: int = 486, n_exclude: int = 259):
     """Return (includes, excludes, rows) — rows for the `keywords` table."""
     rng = random.Random(seed * 7919 + 13)

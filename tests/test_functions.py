@@ -269,8 +269,10 @@ def test_parse_cascade_series_equals_scalar():
         for j in range(40):
             raws.append(web.time_raw(cfg, f"{site}0p1i{j}n{j}"))
     cascades = {cfg.time_formats for cfg in SITES.values()}
-    cascades.add(tuple({f for c in cascades for f in c}))  # the union cascade
-    for fmts in cascades:
+    # the union cascade, in first-appearance order over the sorted cascades
+    # (a set's order would follow the per-process hash seed)
+    cascades.add(tuple(dict.fromkeys(f for c in sorted(cascades) for f in c)))
+    for fmts in sorted(cascades):
         vec = parse_cascade_series(raws, fmts, DEFAULT_NOW)
         for raw, v in zip(raws, vec):
             want = parse_cascade(raw, fmts, DEFAULT_NOW)

@@ -1,20 +1,15 @@
-"""Real-HTML extraction surface (SURVEY §2.9) + the concrete HTTP fetcher:
+"""Real-HTML extraction surface (SURVEY §2.9):
 
 * the CSS-selector-lite engine (htmlsel.py) against hand-written
   news-shaped fixture HTML;
 * SelectorSet-driven listing/article extraction producing the SAME item
   shapes the synthetic regex path produces, flowing through the standard
-  finalize_article / article_spans tail;
-* HttpFetcher (UA pool, timeout, charset sniff) against a loopback
-  http.server.
+  finalize_article / article_spans tail.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-
-import pytest
 
 from newsray.canonicalize import canonicalize, is_valid_href
 from newsray.datefns import DEFAULT_NOW
@@ -134,65 +129,3 @@ def test_real_article_through_finalize_and_spans():
     kinds = [s["kind"] for s in spans]
     assert kinds == ["title", "time", "summary", "image", "link"]
     assert [s["offset"] for s in spans] == [0, 1, 2, 3, 4]
-
-
-# -- HTTP fetcher ------------------------------------------------------------
-
-
-def test_http_fetcher_loopback():
-    import http.server
-
-    payload = _read("real_article.html").encode("utf-8")
-
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def do_GET(self):
-            if self.path == "/euc":
-                body = "유료기사".encode("euc-kr")
-                self.send_response(200)
-                self.send_header("Content-Type", "text/html; charset=euc-kr")
-                self.end_headers()
-                self.wfile.write(body)
-                return
-            if self.path == "/missing":
-                self.send_response(404)
-                self.end_headers()
-                return
-            self.send_response(200)
-            self.send_header("Content-Type", "text/html")
-            self.end_headers()
-            self.wfile.write(payload)
-
-        def log_message(self, *a):
-            pass
-
-    try:
-        srv = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-    except OSError:
-        pytest.skip("loopback sockets unavailable in this sandbox")
-    port = srv.server_address[1]
-    t = threading.Thread(target=srv.serve_forever, daemon=True)
-    t.start()
-    try:
-        from newsray.fetch import HttpFetcher
-
-        f = HttpFetcher(timeout=5.0, seed=1)
-        status, enc, body = f.fetch_one(f"http://127.0.0.1:{port}/art")
-        assert status == 200
-        assert enc == "utf-8"  # sniffed from <meta charset>
-        assert body == payload
-        status, enc, _ = f.fetch_one(f"http://127.0.0.1:{port}/euc")
-        assert (status, enc.lower()) == (200, "euc-kr")  # header charset wins
-        status, _, body = f.fetch_one(f"http://127.0.0.1:{port}/missing")
-        assert status == 404
-        # connection errors are drop-and-continue (status 0), never raise
-        status, _, _ = HttpFetcher(timeout=0.2).fetch_one("http://127.0.0.1:9/none")
-        assert status == 0
-        # batch interface matches the synthetic Fetcher's schema
-        import pyarrow as pa
-
-        batch = pa.table({"canon_url": [f"http://127.0.0.1:{port}/art"]})
-        out = f(batch)
-        assert out.column_names == ["canon_url", "status", "encoding", "payload"]
-        assert out["status"][0].as_py() == 200
-    finally:
-        srv.shutdown()

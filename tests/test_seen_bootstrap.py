@@ -109,3 +109,50 @@ def test_bootstrap_tolerates_one_corrupt_site_file(first_run, tmp_path):
     assert sites == ({"nate"} if n1_nate else set())
     n_nate = sum(1 for s in arts["site"].to_pylist() if s == "nate")
     assert n_nate == n1_nate
+
+
+def test_bootstrap_survives_checkpoint_resume(first_run, tmp_path):
+    """A bootstrapped, checkpointed crawl keeps the seeded URLs with its
+    wave 0 input: killed after wave 0 and resumed (the checkpoint wins, the
+    exports are not re-read), it equals the oracle under the same
+    pre-seeded URL set, in fetch order, articles and seen sets."""
+    import shutil
+
+    from newsray import checkpoint as ckpt
+    from newsray.oracle import run_oracle
+    from newsray.pipeline import CrawlPipeline, PipelineConfig
+    from newsray.policy import CrawlPolicy
+    from newsray.synth import SyntheticWeb
+
+    params, policy, arts1, out_dir = first_run
+    exports = str(tmp_path / "exports")
+    shutil.copytree(out_dir, exports)
+    ck = str(tmp_path / "ck")
+    killed = CrawlPipeline(
+        PipelineConfig(
+            web_params=params, policy=CrawlPolicy(max_waves=1), checkpoint_dir=ck,
+            bootstrap_output_dir=exports,
+        )
+    )
+    killed.run()
+    assert os.path.exists(os.path.join(ck, "wave_000", "seen_in.parquet"))
+    shutil.rmtree(exports)  # a resume reads the seeded URLs from the checkpoint
+    resumed = CrawlPipeline(
+        PipelineConfig(
+            web_params=params, policy=policy, checkpoint_dir=ck,
+            bootstrap_output_dir=exports, n_seen_shards=3,
+        )
+    )
+    assert ckpt.restore(resumed, ck)
+    assert resumed.dump_seen() == killed.dump_seen()
+    arts, _, flog = tables(resumed.run())
+    assert resumed.start_wave == 1
+
+    pre = set(zip(arts1["site"].to_pylist(), arts1["url"].to_pylist()))
+    ora = run_oracle(SyntheticWeb(params), policy, pre_seen_urls=pre)
+    assert sorted(arts["url"].to_pylist()) == sorted(r["url"] for r in ora.articles)
+    po = sorted(zip(flog["discovered_seq"].to_pylist(), flog["canon_url"].to_pylist()))
+    assert po == ora.fetch_order()
+    assert resumed.dump_seen() == (ora.url_seen, ora.title_seen)
+    killed.shutdown()
+    resumed.shutdown()

@@ -63,23 +63,6 @@ def test_day_grouped_export_shape(res):
         assert json.load(open(paths["fnnews"])) == []
 
 
-def test_keyword_config_roundtrip(tmp_path):
-    """The reference's keyword-config format loads to the same flattened
-    lists the synthetic generator produces (Daum_crawler.py:17-23 parity)."""
-    from newsray.synth import build_keywords, load_keyword_config, write_keyword_config
-
-    p = tmp_path / "News_keyword.json"
-    write_keyword_config(str(p))
-    inc, exc, rows = load_keyword_config(str(p))
-    binc, bexc, brows = build_keywords()
-    assert sorted(inc) == sorted(binc)
-    assert sorted(exc) == sorted(bexc)
-    assert {r["polarity"] for r in rows} == {"include", "exclude"}
-    assert len(rows) == len(brows)
-    cats = {r["category"] for r in rows if r["polarity"] == "include"}
-    assert len(cats) == 6  # mirror of the reference's 6 include categories
-
-
 def test_write_documents_ds_partitioned(ray_session, tmp_path):
     """Scale write path: distributed partitioned parquet, one directory per
     (site, day), readable back as the same document rows."""

@@ -96,62 +96,28 @@ def test_cuckoo_false_positive_rate_reasonable():
     assert fp / len(probes) < 0.05
 
 
-def test_seen_shard_check_and_insert(ray_session):
-    import ray
-
-    from newsray.seen import SeenShard
-
-    shard = SeenShard.remote(0, 1 << 12)
-    first = ray.get(shard.check_and_insert.remote(["a", "b", "a", "c"]))
-    assert first == [True, True, False, True]
-    second = ray.get(shard.check_and_insert.remote(["a", "d"]))
-    assert second == [False, True]
-    dump = ray.get(shard.dump.remote())
-    assert dump == ["a", "b", "c", "d"]
-    # restore into a fresh shard → same membership
-    shard2 = SeenShard.remote(1, 1 << 12)
-    ray.get(shard2.restore.remote(dump))
-    assert ray.get(shard2.check_and_insert.remote(["a", "e"])) == [False, True]
-
-
 def test_seen_shard_degraded_cuckoo_stays_exact(ray_session):
     """If the cuckoo overflows (insert failure → possible false negatives),
-    the shard must fall back to the exact store — no duplicate acceptance."""
+    the shard must fall back to the exact store — no duplicate acceptance,
+    within a wave or across waves."""
     import ray
 
     from newsray.seen import SeenShard
 
     shard = SeenShard.remote(0, 64)  # tiny capacity → guaranteed overflow
     keys = [f"k{i}" for i in range(2000)]
-    first = ray.get(shard.check_and_insert.remote(keys))
+    ray.get(shard.begin_wave.remote())
+    first = ray.get(shard.claim_insert.remote(keys, list(range(2000))))
     assert all(first)
-    again = ray.get(shard.check_and_insert.remote(keys))
+    # same wave, higher seqs: the lower seqs already hold every key
+    again = ray.get(shard.claim_insert.remote(keys, list(range(2000, 4000))))
     assert not any(again)  # exact even though the filter is saturated
-    # two-phase protocol under saturation
+    assert ray.get(shard.wave_retractions.remote()) == []
     ray.get(shard.begin_wave.remote())
     more = [f"m{i}" for i in range(500)] + keys[:500]
-    seqs = list(range(len(more)))
-    ray.get(shard.register_wave_min.remote(more, seqs))
-    res = ray.get(shard.resolve_insert.remote(more, seqs))
+    res = ray.get(shard.claim_insert.remote(more, list(range(len(more)))))
     assert res[:500] == [True] * 500  # new keys accepted
     assert res[500:] == [False] * 500  # cross-wave seen rejected exactly
+    assert len(ray.get(shard.dump.remote())) == 2500
 
 
-def test_one_phase_seen_filter_stage(ray_session):
-    """The classic single-phase filter (used where min-seq determinism is
-    not required, e.g. ad-hoc dedup over an already-unique stream)."""
-    import pyarrow as pa
-    import ray
-
-    from newsray.seen import SeenFilterStage, make_seen_pool
-
-    shards = make_seen_pool(2, 1 << 10)
-    stage = SeenFilterStage(shards, "u", "site", "canon_url")
-    t = pa.Table.from_pydict(
-        {"site": ["a", "a", "b"], "canon_url": ["u1", "u1", "u1"]}
-    )
-    out = stage(t)
-    # first (a,u1) wins within the batch order; (b,u1) is a different key
-    assert out.num_rows == 2
-    out2 = stage(t)
-    assert out2.num_rows == 0

@@ -1,7 +1,6 @@
-"""Unit tests for the wave-protocol building blocks added in round 2:
-greedy title claim with retraction, replay-safe resolve, incremental dump
-log, and the cost-striping permutation. All run on the undecorated actor
-class — no Ray session needed."""
+"""Unit tests for the wave-protocol building blocks: greedy claim with
+retraction, the cost-striping permutation and the finalize fuzzy scan. The
+shard tests run on the undecorated actor class — no Ray session needed."""
 
 from __future__ import annotations
 
@@ -36,36 +35,31 @@ def test_claim_greedy_min_seq_with_retraction():
     assert sh.wave_retractions() == []
 
 
-def test_resolve_insert_replay_safe():
-    sh = _shard()
-    sh.begin_wave()
-    sh.register_wave_min(["u:a", "u:b"], [7, 9])
-    assert sh.resolve_insert(["u:a", "u:b"], [7, 9]) == [True, True]
-    # a retried task re-presents the same accepted rows → same verdicts
-    assert sh.resolve_insert(["u:a", "u:b"], [7, 9]) == [True, True]
-    # a non-minimum seq never wins, replayed or not
-    assert sh.resolve_insert(["u:a"], [8]) == [False]
-    # next wave: cross-wave seen, and the replay window is closed
-    sh.begin_wave()
-    sh.register_wave_min(["u:a"], [7])
-    assert sh.resolve_insert(["u:a"], [7]) == [False]
+def test_checkpoint_rows_keep_every_url_claim_and_title_winners():
+    """The checkpointed rows of a wave with retracted seqs 2 and 3: fetch-log
+    and useen rows stay whatever their seq (a retracted row's URL stays
+    seen), while doc and tseen rows of retracted seqs go, so the tseen rows
+    left are the title winners and a title held only by retracted seqs
+    ("b") stays unseen."""
+    from newsray.pipeline import WAVE_SCHEMA, checkpoint_rows
 
-
-def test_dump_since_is_insertion_ordered_delta():
-    sh = _shard()
-    sh.begin_wave()
-    sh.register_wave_min(["u:a", "u:b"], [1, 2])
-    sh.resolve_insert(["u:a", "u:b"], [1, 2])
-    off = sh.log_len()
-    assert sorted(sh.dump_since(0)) == ["u:a", "u:b"]
-    sh.begin_wave()
-    sh.register_wave_min(["u:c"], [3])
-    sh.resolve_insert(["u:c"], [3])
-    assert sh.dump_since(off) == ["u:c"]  # delta ∝ new keys only
-    # restore replay reproduces the exact set
-    sh2 = _shard()
-    sh2.restore(sh.dump_since(0))
-    assert sh2.exact == sh.exact
+    kinds = ["flog", "useen", "useen", "tseen", "tseen", "tseen", "doc", "doc"]
+    seqs = [2, 2, 3, 1, 2, 3, 1, 3]
+    titles = [None, None, None, "a", "a", "b", None, None]
+    n = len(kinds)
+    b = pa.table(
+        {
+            f.name: {"rowkind": kinds, "discovered_seq": seqs, "title": titles}.get(
+                f.name, [None] * n
+            )
+            for f in WAVE_SCHEMA
+        },
+        schema=WAVE_SCHEMA,
+    )
+    out = checkpoint_rows(b, pa.array([2, 3], pa.int64()))
+    got = list(zip(out["rowkind"].to_pylist(), out["discovered_seq"].to_pylist()))
+    assert got == [("flog", 2), ("useen", 2), ("useen", 3), ("tseen", 1), ("doc", 1)]
+    assert checkpoint_rows(b, None) is b
 
 
 def test_stripe_spreads_cost_classes():
@@ -153,13 +147,13 @@ def test_deferred_title_resolution_honors_url_retractions():
     drops = sh.resolve_titles([100])  # URL retraction kills seq 100
     # T falls to 120; 130 loses; 100's claims die with it
     assert 130 in drops and 120 not in drops
-    assert sh.contains(["t:T"]) == [True]
-    assert sh.contains(["t:X"]) == [False]  # no valid holder -> stays unseen
+    assert "t:T" in sh.exact
+    assert "t:X" not in sh.exact  # no valid holder -> stays unseen
     # next wave: T is held, X is free
     sh.begin_wave()
     assert sh.record_title_claim(["t:T", "t:X"], [200, 201]) == [False, True]
     assert sh.resolve_titles([]) == []
-    assert sh.contains(["t:X"]) == [True]
+    assert "t:X" in sh.exact
 
 
 def _naive_fuzzy_scan(t: pa.Table, thr: int, drop: set) -> list[int]:

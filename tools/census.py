@@ -29,18 +29,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCANNED = ("newsray", "bench.py", "__ray_entry__.py", "perfbench", "tools")
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
-# Unused definitions kept for now: "<module>.<qualname>" -> reason. An
+# Unused definitions kept by name: "<module>.<qualname>" -> reason. An
 # entry whose definition is gone or used again must go too.
-PENDING_3 = "pending ROADMAP item 3: only tests call it"
-PRE_FUSED = PENDING_3 + " (pre-fused seen protocol)"
-ALLOWED = {
-    "fetch.Fetcher": PENDING_3,
-    "fetch.HttpFetcher": PENDING_3,
-    "seen.WaveMinStage.register": PRE_FUSED,
-    "seen.WaveMinStage.resolve": PRE_FUSED,
-    "seen.SeenFilterStage": PRE_FUSED,
-    "synth.write_keyword_config": PENDING_3,
-}
+ALLOWED: dict[str, str] = {}
 # Kinds of definition the runtime calls by protocol, not by name.
 HTMLPARSER_HOOK = "HTMLParser hook: the base class's feed() calls it"
 REGISTERED = "@register query: reached through registry.QUERIES"

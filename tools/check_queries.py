@@ -46,6 +46,8 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
+    # the golden dumps (read by the golden-backed oracle SQL) for THIS sf
+    os.environ["GRAFT_ORACLE_SF_DIR"] = sf_dir
 
     import ray
 
