@@ -82,16 +82,14 @@ def bench_crawl_config():
             extra_sections=BENCH_SECTIONS, articles_per_listing=800, hot_factor=6
         ),
         policy=CrawlPolicy(max_waves=2),
-        # state-actor pools scale with the cluster (and each shard reserves
-        # a CPU fraction) so both scaling levels pay proportionally for the
-        # seen-set/scheduler compute — an honest two-cluster-size comparison
-        # state-actor pools scale with the cluster so seen-set/scheduler
-        # compute parallelizes proportionally at every level; the actors
-        # stay at num_cpus=0 because a fractional reservation quantizes
-        # away a whole 1-CPU task slot at the 2-CPU level (measured: it
-        # turns the lo run into a 1-slot run and fabricates >1 efficiency)
+        # the state-actor pool (seen shards, which also hold the politeness
+        # state) scales with the cluster so its compute parallelizes
+        # proportionally at every level — an honest two-cluster-size
+        # comparison; the actors stay at num_cpus=0 because a fractional
+        # reservation quantizes away a whole 1-CPU task slot at the 2-CPU
+        # level (measured: it turns the lo run into a 1-slot run and
+        # fabricates >1 efficiency)
         n_seen_shards=max(2, NCPUS),
-        n_sched_shards=max(1, NCPUS // 2),
         actor_num_cpus=0.0,
         # TOTAL filter capacity is what matters: a fixed per-shard capacity
         # would overload the cuckoo at small shard counts (eviction chains

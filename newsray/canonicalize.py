@@ -49,22 +49,17 @@ _FAST_REL = re.compile(r"^/(?!/)[^?#]*(?:[?#].*)?$")
 _DOT_SEG = re.compile(r"/\.\.?(?:/|$)")
 
 
-def _finish(scheme: str, host: str, path: str) -> tuple[str, str]:
+def _finish(scheme: str, host: str, path: str) -> tuple[str, str, str, str]:
     host = host.lower()
     path = path or "/"
     if len(path) > 1 and path.endswith("/"):
         path = path[:-1]
-    return f"{scheme}://{host}{path}", host
+    return f"{scheme}://{host}{path}", host, scheme, path
 
 
-def canonicalize(href: str, base_url: str) -> tuple[str, str]:
-    """Return ``(canon_url, host)``: absolutized, scheme forced to https,
-    query/params/fragment stripped, trailing slash trimmed (except root).
-
-    Hot path: absolute http(s) URLs and clean root-relative paths resolve
-    with two compiled regexes (~10× urllib); anything else (dot segments,
-    path-relative, exotic schemes) falls back to urljoin/urlparse with
-    identical results (property-tested in tests/test_functions.py)."""
+def _canonical_parts(href: str, base_url: str) -> tuple[str, str, str, str]:
+    """``(canon_url, host, scheme, path)`` of ``canonicalize``, from one
+    parse of the URL."""
     h = href.strip()
     if h.startswith("//"):
         h = "https:" + h
@@ -90,26 +85,51 @@ def canonicalize(href: str, base_url: str) -> tuple[str, str]:
         path = path[:-1]
     host = p.netloc.lower()
     canon = urlunparse((scheme, host, path, "", "", ""))
-    return canon, host
+    return canon, host, scheme, path
+
+
+def canonicalize(href: str, base_url: str) -> tuple[str, str]:
+    """Return ``(canon_url, host)``: absolutized, scheme forced to https,
+    query/params/fragment stripped, trailing slash trimmed (except root).
+
+    Hot path: absolute http(s) URLs and clean root-relative paths resolve
+    with two compiled regexes (~10× urllib); anything else (dot segments,
+    path-relative, exotic schemes) falls back to urljoin/urlparse with
+    identical results (property-tested in tests/test_functions.py)."""
+    return _canonical_parts(href, base_url)[:2]
+
+
+# path characters ``urlparse`` drops: tab/CR/LF anywhere, and a ``;params``
+# tail of the last segment, which a canonical path may still carry
+_PARSE_QUIRKS = re.compile(r"[;\t\r\n]")
 
 
 def canonicalize_batch(
     hrefs: list[str | None], base_urls: list[str]
-) -> tuple[list[bool], list[str], list[str]]:
+) -> tuple[list[bool], list[str], list[str], list[str]]:
     """Batch form used inside ``map_batches`` (one Python pass per batch —
-    URL parsing is inherently per-string; the stage stays a stateless task)."""
+    URL parsing is inherently per-string; the stage stays a stateless task).
+    Returns ``(valid, canon, hosts, paths)``; a path is what
+    ``urlparse(canon).path`` gives, the robots check's input, and is
+    re-parsed only in the rare canonical path ``_PARSE_QUIRKS`` matches."""
     valid: list[bool] = []
     canon: list[str] = []
     hosts: list[str] = []
+    paths: list[str] = []
     for href, base in zip(hrefs, base_urls):
-        if not is_valid_href(href):
-            valid.append(False)
+        ok = is_valid_href(href)
+        if ok:
+            c, h, scheme, path = _canonical_parts(href, base)
+            ok = scheme in _VALID_SCHEMES and bool(h)
+        valid.append(ok)
+        if not ok:
             canon.append("")
             hosts.append("")
+            paths.append("")
             continue
-        c, h = canonicalize(href, base)
-        ok = urlparse(c).scheme in _VALID_SCHEMES and bool(h)
-        valid.append(ok)
-        canon.append(c if ok else "")
-        hosts.append(h if ok else "")
-    return valid, canon, hosts
+        if _PARSE_QUIRKS.search(path):
+            path = urlparse(c).path
+        canon.append(c)
+        hosts.append(h)
+        paths.append(path)
+    return valid, canon, hosts, paths

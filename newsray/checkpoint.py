@@ -22,9 +22,9 @@ the live wave uses: the fetch log and the next frontier through the rowkind
 views (``pipeline.flog_rows`` / ``to_frontier``); the seen set from the
 claim rows, each key re-routed with ``shard_of`` over the pool's current
 size; the politeness clocks and budgets by replaying each wave's per-host
-fetch counts through ``HostScheduler.reserve``. So a crawl checkpointed at
-N shards resumes at any other shard counts. Finalize reads the docs
-straight from the files.
+fetch counts through ``SeenShard.reserve`` on each host's routing shard.
+So a crawl checkpointed at N shards resumes at any other shard count.
+Finalize reads the docs straight from the files.
 
 Crash safety: a wave directory is cleared before being re-written if the
 manifest does not list the wave as completed (a crash mid-write must not
@@ -58,7 +58,7 @@ from .seen import restore_keys, seen_keys
 
 # one rows/ dataset per wave, the only per-wave state; must match on resume
 LAYOUT_VERSION = "rows-v2"
-# the columns restore folds into scheduler and seen-set state
+# the columns restore folds into politeness and seen-set state
 STATE_COLS = ["rowkind", "site", "host", "canon_url", "title"]
 
 
@@ -155,7 +155,7 @@ def repair_wave_metrics(root: str, wave_metrics: list[dict]) -> None:
 
 def restore(pipeline, root: str) -> bool:
     """Rehydrate a CrawlPipeline from the last completed wave, at the
-    pipeline's own shard counts. Returns True if there was state to
+    pipeline's own shard count. Returns True if there was state to
     restore. Refuses another checkpoint layout and a wave whose rows files
     do not hold its recorded row count."""
     manifest = _load_manifest(root)
@@ -213,7 +213,7 @@ def restore(pipeline, root: str) -> bool:
         with open(os.path.join(_wave_dir(root, w), "metrics.json")) as f:
             pipeline.wave_metrics.append(json.load(f))
     restore_keys(pipeline.seen_shards, keys)
-    replay_grants(pipeline.schedulers, wave_flogs)
+    replay_grants(pipeline.seen_shards, wave_flogs)
     # the next frontier: a pruned driver read of the last wave's rows (its
     # next/frontier rows are metadata-sized; no Ray execution)
     last = waves[-1]

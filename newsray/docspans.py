@@ -140,7 +140,8 @@ def crawl_fetch_log(sf_dir: str):
     flat SQL-typed table — hash-diffed against an independent sequential
     recompute of the per-host virtual clock over the oracle's fetch order
     (golden.golden_crawl_fetch_log). Covers the released_at_virtual spacing
-    invariant the actorized HostScheduler enforces distributed."""
+    invariant the seen shards' politeness state (SeenShard.reserve)
+    enforces distributed."""
     logs = _mini_crawl()["fetch_logs"]
     return logs[0].union(*logs[1:]).select_columns(
         ["wave", "site", "host", "canon_url", "discovered_seq", "released_at_virtual"]

@@ -471,7 +471,7 @@ def golden_crawl_fetch_log(sf_dir: str) -> pa.Table:
     sequential oracle's fetch log through an INDEPENDENT single-process
     recompute of the virtual politeness clock — per wave, per host in seq
     order, release = start + i*delay with the host clock carrying across
-    waves (the invariant frontier.HostScheduler enforces distributed)."""
+    waves (the invariant SeenShard.reserve enforces distributed)."""
     from collections import defaultdict
 
     from .sites import SITES

@@ -21,12 +21,13 @@ Design notes for 10^10-URL scale:
 
 * ``payload: binary`` exists only INSIDE the fused fetch+parse stage — it is
   never a column of any materialized/checkpointed dataset (SURVEY §7.5.8).
-* Stateful crawl state lives in two actor pools: the sharded cuckoo-filter
-  seen-set (seen.py) and the per-host politeness/budget schedulers
-  (frontier.py). The per-batch transform stages are stateless Ray tasks
-  whose heavy setup (keyword automata, the synthetic-web generator; in
-  production: HTTP session pools) is cached once per worker PROCESS in
-  ``_ENGINES`` — amortized like an actor pool, but elastic and with zero
+* Stateful crawl state lives in one actor pool, the seen shards (seen.py):
+  each holds its slice of the cuckoo-filter seen-set and the per-host
+  politeness/budget state of the hosts routed to it (frontier.py), and
+  shard 0 also holds the per-wave counters. The per-batch transform stages
+  are stateless Ray tasks whose heavy setup (keyword automata, the
+  synthetic-web generator; in production: HTTP session pools) is cached
+  once per worker PROCESS in ``_ENGINES`` — amortized like an actor pool, but elastic and with zero
   per-wave pool spin-up. The order-dependent fuzzy-title scan is a plain
   task per fuzzy site at finalize, over the rows the waves already hold.
 * Wave barriers are inherent to BFS frontier feedback; what crosses a wave
@@ -51,7 +52,6 @@ Design notes for 10^10-URL scale:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from urllib.parse import urlparse
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -68,7 +68,7 @@ from .extract import (
     parse_article_for,
     parse_listing_for,
 )
-from .frontier import ScheduleGroup, make_scheduler_pool
+from .frontier import ScheduleGroup
 from .oracle import effective_page_cap, make_matcher
 from .policy import CrawlPolicy
 from .seen import WaveMinStage, make_seen_pool, restore_keys, seen_keys
@@ -374,10 +374,10 @@ def cand_gate(batch: pa.Table, policy: CrawlPolicy) -> pa.Table:
     hrefs = batch["href"].to_pylist()
     bases = batch["base_url"].to_pylist()
     sites = batch["site"].to_pylist()
-    valid, canon, hosts = canonicalize_batch(hrefs, bases)
+    valid, canon, hosts, paths = canonicalize_batch(hrefs, bases)
     keep = [
-        ok and h == SITES[s].host and policy.allowed(h, urlparse(c).path)
-        for ok, c, h, s in zip(valid, canon, hosts, sites)
+        ok and h == SITES[s].host and policy.allowed(h, path)
+        for ok, h, path, s in zip(valid, hosts, paths, sites)
     ]
     batch = batch.set_column(
         batch.column_names.index("canon_url"), "canon_url", pa.array(canon, pa.string())
@@ -540,7 +540,7 @@ def make_stripe(k: int):
 # the next frontier from a wave's rows with these same batch functions, and
 # finalize derives the docs; ``drop`` is the retracted-seq set (None once
 # rows are checkpointed, which already excludes it). Restore also folds
-# the flog, useen and tseen rows back into scheduler and seen-set state.
+# the flog, useen and tseen rows back into politeness and seen-set state.
 
 
 def drop_retracted(b: pa.Table, drop: pa.Array | None = None) -> pa.Table:
@@ -605,6 +605,9 @@ class PipelineConfig:
     web_params: WebParams = field(default_factory=WebParams)
     policy: CrawlPolicy = field(default_factory=CrawlPolicy)
     n_seen_shards: int = 4
+    # no effect: politeness state lives in the seen shards. Kept only
+    # because perfbench/session.py (PIPE_KW) still passes it; the benchmark
+    # PR of ROADMAP item 10 drops it there and here.
     n_sched_shards: int = 2
     batch_size: int | None = None  # fetch+parse batch rows; None = one batch
     # per block (repartition_blocks controls task granularity / skew spread)
@@ -638,15 +641,12 @@ class CrawlPipeline:
 
         self.cfg = cfg
         self.web = build_web(cfg.web_params)  # driver-side: seeds only
+        # the crawl's only actors: seen set, politeness state, counters
         self.seen_shards = make_seen_pool(
-            cfg.n_seen_shards, cfg.seen_capacity_per_shard, cfg.actor_num_cpus
+            cfg.n_seen_shards, cfg.seen_capacity_per_shard,
+            cfg.policy.host_budget, cfg.actor_num_cpus,
         )
-        self.schedulers = make_scheduler_pool(
-            cfg.n_sched_shards, cfg.policy.host_budget, cfg.actor_num_cpus
-        )
-        from .lineage import MetricsActor
-
-        self.metrics = MetricsActor.remote()
+        self.metrics = self.seen_shards[0]  # the shard holding the counters
         self._fuzzy_sites = pa.array([s for s, c in SITES.items() if c.fuzzy_dedup])
         self.retracted_seqs: set[int] = set()
         self.wave_metrics: list[dict] = []
@@ -777,7 +777,7 @@ class CrawlPipeline:
         url_wave = WaveMinStage(self.seen_shards, "u", "site", "canon_url")
         title_wave = WaveMinStage(self.seen_shards, "t", "site", "title")
 
-        sched_fn = ScheduleGroup(self.schedulers)
+        sched_fn = ScheduleGroup(self.seen_shards)
         fault_actor = cfg.fault_inject_actor
 
         def fetch_parse_m(b: pa.Table) -> pa.Table:
@@ -791,8 +791,8 @@ class CrawlPipeline:
                     raise RuntimeError("injected transient fault (test hook)")
             kinds = out["rowkind"]
             # ONE batched increment per batch, FIRE-AND-FORGET: a synchronous
-            # ray.get here serialized every task of the wave through the one
-            # metrics actor's queue — measured ~30% of crawl wall at bench
+            # ray.get here serialized every task of the wave through the
+            # counter shard's queue — measured ~30% of crawl wall at bench
             # scale (A/B, min-of-3: 36.1 s sync vs 25.2 s async). Counters
             # are DIAGNOSTICS; the loop's only correctness-bearing use (the
             # terminate-on-empty decision) confirms zero with an exact
@@ -987,8 +987,8 @@ class CrawlPipeline:
             wave += 1
         # every wave's executions are complete: one final counter read per
         # wave repairs any fire-and-forget delivery lag in the recorded
-        # diagnostics (checkpoint-restored waves predate this session's
-        # metrics actor and keep their stored values)
+        # diagnostics (checkpoint-restored waves predate this pipeline's
+        # counter shard and keep their stored values)
         for m in self.wave_metrics:
             if m["wave"] < self.start_wave:
                 continue
@@ -1007,19 +1007,15 @@ class CrawlPipeline:
         return self.finalize_streaming()
 
     def shutdown(self) -> None:
-        """Kill this pipeline's actor pools (seen shards, schedulers,
-        metrics). Call when the run's results have been
-        consumed: result datasets stay readable (their wave parents are
+        """Kill this pipeline's actor pool (the seen shards, which also hold
+        the politeness state and counters). Call when the run's results have
+        been consumed: result datasets stay readable (their wave parents are
         materialized; the remaining lazy stages are pure filters), but a new
         run needs a new pipeline. Long sessions that build pipelines in a
         loop (bench samples) must call this — dataset lineage keeps actor
         handles reachable, so pools otherwise accumulate for the session's
         lifetime."""
-        for a in (
-            *self.seen_shards,
-            *self.schedulers,
-            self.metrics,
-        ):
+        for a in self.seen_shards:
             try:
                 ray.kill(a)
             except Exception:

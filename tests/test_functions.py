@@ -246,6 +246,46 @@ def test_canonicalize_fast_path_equals_rfc_resolution():
             assert canonicalize(h, b) == slow(h, b), (h, b)
 
 
+def test_canonicalize_batch_path_is_urlparse_path():
+    """The batch gate parses each candidate once: its validity and robots
+    path must equal re-parsing the canonical URL with urlparse, also where
+    urlparse drops a last segment's ;params or a tab/CR/LF."""
+    import random
+
+    from urllib.parse import urlparse
+
+    from newsray.canonicalize import canonicalize_batch, is_valid_href
+
+    rng = random.Random(11)
+    forms = [
+        "/art/{i}", "//news.yna.test/art/{i}", "./art/{i}", "art/{i}/",
+        "https://news.voa.test/art/{i}?utm=1#x", "http://news.daum.test/art/{i}/",
+        "../up/{i}", "/a/./b/{i}", "/priv/art/{i}", "HTTPS://News.Test/art/{i}",
+        "/art;v={i}/x", "/art/x;jsessionid={i}", "/art/x;s={i}/", "/a\tb/{i}",
+        "https://news.nate.test/a\nb;p/{i}", "../x;y{i}", "ftp://h.test/{i}",
+        "javascript:void({i})", "#top{i}", "", "mailto:a{i}@b.c", "//",
+    ]
+    bases = ["https://news.nate.test/sec/recent0", "http://X.test/a/b/", "ftp://f.test/d/"]
+    hrefs, bs = [], []
+    for i in range(300):
+        hrefs.append(rng.choice(forms).format(i=i))
+        bs.append(rng.choice(bases))
+    hrefs.append(None)
+    bs.append(bases[0])
+    valid, canon, hosts, paths = canonicalize_batch(hrefs, bs)
+    for href, b, ok, c, h, path in zip(hrefs, bs, valid, canon, hosts, paths):
+        if not is_valid_href(href):
+            assert not ok, href
+            continue
+        want_c, want_h = canonicalize(href, b)
+        p = urlparse(want_c)
+        want_ok = p.scheme in ("http", "https") and bool(want_h)
+        assert ok == want_ok, (href, b)
+        if ok:
+            assert (c, h, path) == (want_c, want_h, p.path), (href, b)
+    assert any(";" in c for c in canon)  # the quirk branch ran
+
+
 def test_parse_cascade_series_equals_scalar():
     """The vectorized cascade (hot finalize path) must agree with the scalar
     reference on every format, junk input, and edge case."""

@@ -286,10 +286,11 @@ def test_crawl_exact_over_many_small_blocks(ray_session):
 
 
 def test_pipeline_starts_only_state_actors(ray_session, monkeypatch):
-    """A pipeline starts exactly its seen shards, its schedulers and one
-    metrics actor; a crawl over a fuzzy site, finalize included, starts no
-    further actor. Counts actor creations of newsray classes as the driver
-    submits them (the GCS registers actors asynchronously)."""
+    """A pipeline starts exactly its seen shards, which also hold the
+    politeness state and the counters (``n_sched_shards`` has no effect);
+    a crawl over a fuzzy site, finalize included, starts no further actor.
+    Counts actor creations of newsray classes as the driver submits them
+    (the GCS registers actors asynchronously)."""
     import ray.actor
 
     from newsray.pipeline import CrawlPipeline, PipelineConfig
@@ -313,10 +314,10 @@ def test_pipeline_starts_only_state_actors(ray_session, monkeypatch):
         n_sched_shards=2,
     )
     pipe = CrawlPipeline(cfg)
-    assert sorted(started) == ["HostScheduler"] * 2 + ["MetricsActor"] + ["SeenShard"] * 3
+    assert started == ["SeenShard"] * cfg.n_seen_shards
     res = pipe.run()
     assert res["articles_ds"].count() > 0
-    assert len(started) == cfg.n_seen_shards + cfg.n_sched_shards + 1
+    assert started == ["SeenShard"] * cfg.n_seen_shards
     pipe.shutdown()
 
 
