@@ -11,7 +11,7 @@ and partition key — applied identically everywhere.
 
 from __future__ import annotations
 
-from urllib.parse import urljoin, urlparse, urlunparse
+from urllib.parse import urljoin, urlparse, urlunparse, uses_params
 
 _VALID_SCHEMES = ("http", "https")
 
@@ -47,6 +47,8 @@ _FAST_ABS = re.compile(r"^(https?)://([^/?#]+)((?:/[^?#]*)?)(?:[?#].*)?$")
 # root-relative path with no scheme/authority and no dot-segments
 _FAST_REL = re.compile(r"^/(?!/)[^?#]*(?:[?#].*)?$")
 _DOT_SEG = re.compile(r"/\.\.?(?:/|$)")
+# urlparse drops tab/CR/LF and splits off a last segment's ;params
+_PARSE_QUIRKS = re.compile(r"[;\t\r\n]")
 
 
 def _finish(scheme: str, host: str, path: str) -> tuple[str, str, str, str]:
@@ -66,12 +68,13 @@ def _canonical_parts(href: str, base_url: str) -> tuple[str, str, str, str]:
     elif h.startswith("./"):
         h = h[1:]
     h = h.replace(".test./", ".test/")
-    m = _FAST_ABS.match(h)
+    quirk = _PARSE_QUIRKS.search(h)
+    m = None if quirk else _FAST_ABS.match(h)
     if m is not None:
         path = m.group(3)
         if not _DOT_SEG.search(path):
             return _finish("https", m.group(2), path)
-    elif _FAST_REL.match(h) and not _DOT_SEG.search(h):
+    elif not quirk and _FAST_REL.match(h) and not _DOT_SEG.search(h):
         bm = _FAST_ABS.match(base_url)
         if bm is not None:
             path = h.split("?", 1)[0].split("#", 1)[0]
@@ -81,8 +84,12 @@ def _canonical_parts(href: str, base_url: str) -> tuple[str, str, str, str]:
     p = urlparse(absu)
     scheme = "https" if p.scheme in _VALID_SCHEMES else p.scheme
     path = p.path or "/"
-    if len(path) > 1 and path.endswith("/"):
-        path = path[:-1]
+    while len(path) > 1 and path.endswith("/"):
+        path = path[:-1]  # may bare a last segment's ;params: urlparse drops them
+        cut = path.find(";", path.rfind("/") + 1) if scheme in uses_params else -1
+        if cut < 0:
+            break
+        path = path[:cut] or "/"
     host = p.netloc.lower()
     canon = urlunparse((scheme, host, path, "", "", ""))
     return canon, host, scheme, path
@@ -94,14 +101,9 @@ def canonicalize(href: str, base_url: str) -> tuple[str, str]:
 
     Hot path: absolute http(s) URLs and clean root-relative paths resolve
     with two compiled regexes (~10× urllib); anything else (dot segments,
-    path-relative, exotic schemes) falls back to urljoin/urlparse with
-    identical results (property-tested in tests/test_functions.py)."""
+    path-relative, ``;``/tab/CR/LF, exotic schemes) takes urljoin/urlparse,
+    with identical results (property-tested in tests/test_functions.py)."""
     return _canonical_parts(href, base_url)[:2]
-
-
-# path characters ``urlparse`` drops: tab/CR/LF anywhere, and a ``;params``
-# tail of the last segment, which a canonical path may still carry
-_PARSE_QUIRKS = re.compile(r"[;\t\r\n]")
 
 
 def canonicalize_batch(
@@ -110,8 +112,7 @@ def canonicalize_batch(
     """Batch form used inside ``map_batches`` (one Python pass per batch —
     URL parsing is inherently per-string; the stage stays a stateless task).
     Returns ``(valid, canon, hosts, paths)``; a path is what
-    ``urlparse(canon).path`` gives, the robots check's input, and is
-    re-parsed only in the rare canonical path ``_PARSE_QUIRKS`` matches."""
+    ``urlparse(canon).path`` gives, the robots check's input."""
     valid: list[bool] = []
     canon: list[str] = []
     hosts: list[str] = []
@@ -127,8 +128,6 @@ def canonicalize_batch(
             hosts.append("")
             paths.append("")
             continue
-        if _PARSE_QUIRKS.search(path):
-            path = urlparse(c).path
         canon.append(c)
         hosts.append(h)
         paths.append(path)

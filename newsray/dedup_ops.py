@@ -211,11 +211,9 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
     from .tabular import bucket_join, n_buckets
 
     a, b = _perm_params()
+    # B sizes the text re-join and the coarse band partitions (each holds
+    # many LSH buckets)
     B = n_buckets(size_bytes=size_bytes)
-
-    # coarse partitions (each holds many LSH buckets); the band-row exchange
-    # is signatures-only so partitions scale off the same corpus-size hint
-    N_PARTS = n_buckets(min_b=64, size_bytes=size_bytes)
 
     def bands(batch: pa.Table) -> pa.Table:
         out = {"part": [], "band_hash": [], "doc_id": []}
@@ -226,7 +224,7 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
                 bh = f"{band}:" + hashlib.blake2b(chunk.tobytes(), digest_size=8).hexdigest()
                 out["part"].append(
                     int.from_bytes(hashlib.blake2b(bh.encode(), digest_size=4).digest(), "little")
-                    % N_PARTS
+                    % B
                 )
                 out["band_hash"].append(bh)
                 out["doc_id"].append(doc_id)
@@ -383,7 +381,7 @@ def dedup_simhash(sf_dir: str):
 
     from .tabular import n_buckets
 
-    N_PARTS = n_buckets(min_b=64, size_bytes=ds.size_bytes())
+    B = n_buckets(size_bytes=ds.size_bytes())
 
     def sigs(batch: pa.Table) -> pa.Table:
         out = {"part": [], "band": [], "band_val": [], "doc_id": [], "sig": []}
@@ -395,7 +393,7 @@ def dedup_simhash(sf_dir: str):
                 # buckets — map_groups over ~65k mostly-singleton 16-bit
                 # buckets paid ~1-15 ms of pandas slice/convert per group
                 # (18.9 s of remote wall at sf0.1)
-                out["part"].append((band * 0x10001 + bv * 2_654_435_761) % N_PARTS)
+                out["part"].append((band * 0x10001 + bv * 2_654_435_761) % B)
                 out["band"].append(band)
                 out["band_val"].append(bv)
                 out["doc_id"].append(doc_id)
@@ -893,8 +891,8 @@ def dedup_keep_best(sf_dir: str):
     from .tabular import bucket_join, n_buckets
 
     # dedup_minhash_lsh sizes the band exchange and text re-join off the
-    # corpus size_bytes hint (a hint-less minhash_pairs_ds would fall back
-    # to the CPU-floor bucket count — corpus_size/32 of text in one group)
+    # corpus size_bytes hint (a hint-less minhash_pairs_ds would size by
+    # CPUs alone — corpus_size / (2 x CPUs) of text in one group)
     clusters = pairs_to_clusters(dedup_minhash_lsh(sf_dir))
     docs = read(sf_dir, "documents", ["doc_id", "text"])
     B = n_buckets(size_bytes=docs.size_bytes())

@@ -4,10 +4,15 @@ star schema (TESTDATA.md). All readers prune columns at the read."""
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import shutil
+import tempfile
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data as rd
 
 
@@ -93,27 +98,15 @@ def round_col(batch: pa.Table, col: str, digits: int) -> pa.Table:
 TARGET_GROUP_BYTES = 256 * 1024 * 1024
 
 
-def n_buckets(min_b: int = 32, size_bytes: int | None = None) -> int:
-    """Hash-join / window bucket count: power of two covering BOTH axes —
-    ≈2 buckets per cluster CPU (parallelism) AND ``size_bytes /
+def n_buckets(size_bytes: int | None = None) -> int:
+    """Hash-join / window bucket count: the smallest power of two covering
+    BOTH axes — 2 buckets per cluster CPU (parallelism) AND ``size_bytes /
     TARGET_GROUP_BYTES`` (memory: one bucket group must fit a worker heap).
-    Callers pass the pruned input's ``Dataset.size_bytes()`` estimate; with
-    no size hint the cluster floor alone applies (small/test inputs)."""
-    cpu = 8.0
-    try:
-        import ray
-
-        if ray.is_initialized():
-            cpu = float(ray.cluster_resources().get("CPU", 8.0))
-    except Exception:
-        pass
-    target = max(min_b, int(cpu) * 2)
-    if size_bytes:
-        target = max(target, -(-int(size_bytes) // TARGET_GROUP_BYTES))
-    b = 1
-    while b < target:
-        b <<= 1
-    return b
+    Callers pass the pruned input's ``Dataset.size_bytes()``. No fixed
+    floor: each group pays its own reduce call."""
+    cpu = ray.cluster_resources().get("CPU", 8) if ray.is_initialized() else 8
+    target = max(int(cpu) * 2, -(-int(size_bytes or 0) // TARGET_GROUP_BYTES))
+    return 1 << (target - 1).bit_length()
 
 
 def hash_bucket(tok: str, nb: int) -> int:
@@ -206,63 +199,72 @@ def bucket_join(left, right, on, nb: int, reduce, out) -> rd.Dataset:
 
 def idempotent_partitioned_build(out_dir: str, want: dict, build_fn) -> str:
     """ONE home for the fingerprint-markered idempotent partitioned-index
-    build (ANN signature index, RAG chunk index, lexical postings — three
-    call sites that previously each carried their own copy):
-
-    * the marker (`_built.json`, committed LAST) holds the caller's
-      fingerprint dict; a matching marker serves the existing tree;
-    * the build is CONCURRENCY-SAFE: each builder writes a COMPLETE tree
-      into a private ``<out_dir>.build-<pid>`` dir (marker included), then
-      swaps it in whole. Racing builders each produce a complete identical
-      index and the swap is last-complete-tree-wins — never the mixed
-      half-and-half directory a shared in-place write would leave;
-    * a loser whose swap collides re-checks the winner's marker and serves
-      the winner's tree.
-
-    ``build_fn(tmp_dir)`` must write the partitioned data into ``tmp_dir``
-    (e.g. ``ds.write_parquet(tmp_dir, partition_cols=[...])``)."""
-    import json
-    import os
-    import shutil
-
+    build (ANN signature index, RAG chunk index, lexical postings).
+    ``build_fn(tmp_dir)`` writes a COMPLETE tree into a private ``mkdtemp``
+    dir (e.g. ``ds.write_parquet(tmp_dir, partition_cols=[...])``); the
+    marker ``_built.json``, written last, holds the caller's fingerprint and
+    ``_partitions``, the partition dirs the build wrote. The old tree is
+    renamed aside and the new one in, so a reader sees a complete tree or
+    none and nothing is copied; a matching fingerprint serves the existing
+    (or a racing winner's) tree. Build and aside dirs go on every exit."""
     def _marker_matches() -> bool:
         try:
             with open(os.path.join(out_dir, "_built.json")) as f:
-                return json.load(f) == want
+                got = json.load(f)
         except (json.JSONDecodeError, OSError):
             return False
+        # a marker without _partitions is an older format's: rebuild
+        return got.pop("_partitions", None) is not None and got == want
 
     if _marker_matches():
         return out_dir
-    tmp = f"{out_dir}.build-{os.getpid()}"
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp, exist_ok=True)
-    build_fn(tmp)
-    with open(os.path.join(tmp, "_built.json"), "w") as f:
-        json.dump(want, f)
-    if os.path.isdir(out_dir):
-        shutil.rmtree(out_dir, ignore_errors=True)
+    parent, name = os.path.split(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=f"{name}.build-", dir=parent)
+    aside = None
     try:
-        os.rename(tmp, out_dir)
-    except OSError:
-        # a racing builder swapped its (complete, identical-fingerprint)
-        # tree in between our rmtree and rename: serve theirs
-        if not _marker_matches():
-            raise
-        shutil.rmtree(tmp, ignore_errors=True)
+        build_fn(tmp)
+        n_parts = sum(e.is_dir() for e in os.scandir(tmp))
+        with open(os.path.join(tmp, "_built.json"), "w") as f:
+            json.dump({**want, "_partitions": n_parts}, f)
+        aside = tempfile.mkdtemp(prefix=f"{name}.old-", dir=parent)
+        try:
+            os.rename(out_dir, aside)  # onto an empty dir: allowed, atomic
+        except FileNotFoundError:
+            pass
+        try:
+            os.rename(tmp, out_dir)
+            tmp = None
+        except OSError:
+            # a racing builder renamed its tree in between our two renames
+            if not _marker_matches():
+                raise
+    finally:
+        for d in (tmp, aside):
+            if d is not None:
+                shutil.rmtree(d, ignore_errors=True)
     return out_dir
 
 
 def partition_files(idx_dir: str, key: str, values) -> list[str]:
     """Parquet files of ONLY the hive partitions ``{key}={v}`` for the given
-    values — the pruned-read step shared by every partitioned index probe."""
-    import os
-
-    return [
+    values — the pruned-read step shared by every partitioned index probe.
+    Raises, never answers empty, on a missing or swapped tree or one short
+    of the partition dirs its marker lists."""
+    ino = os.stat(idx_dir).st_ino
+    files = [
         os.path.join(d, f)
         for v in sorted(values)
         if os.path.isdir(d := os.path.join(idx_dir, f"{key}={v}"))
         for f in sorted(os.listdir(d))
         if f.endswith(".parquet")
     ]
+    if not files:
+        with open(os.path.join(idx_dir, "_built.json")) as f:
+            built = json.load(f).get("_partitions")
+        found = sum(e.is_dir() for e in os.scandir(idx_dir))
+        if found != built:
+            raise RuntimeError(f"{idx_dir}: marker lists {built} partitions, found {found}")
+    if os.stat(idx_dir).st_ino != ino:
+        raise FileNotFoundError(f"{idx_dir} was swapped while probed")
+    return files

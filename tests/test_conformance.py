@@ -13,6 +13,7 @@ from newsray.extract import article_spans
 from newsray.oracle import run_oracle
 from newsray.pipeline import CrawlPipeline, PipelineConfig
 from newsray.policy import CrawlPolicy
+from newsray.seen import shard_of
 from newsray.sites import SITES
 from newsray.synth import SyntheticWeb, WebParams
 
@@ -40,10 +41,17 @@ def test_crawl_order_equality(full_run):
 
 
 def test_url_and_title_seen_set_equality(full_run):
+    import ray
+
     pipe, res, ora = full_run
     url_seen, title_seen = pipe.dump_seen()
     assert url_seen == ora.url_seen
     assert title_seen == ora.title_seen
+    # dump_seen unions the shards, so it cannot see a key stored on a shard
+    # that lookups never consult: check each key's placement directly
+    n = len(pipe.seen_shards)
+    for i, keys in enumerate(ray.get([s.dump.remote() for s in pipe.seen_shards])):
+        assert all(shard_of(k, n) == i for k in keys), i
 
 
 def test_article_rows_equal(full_run):

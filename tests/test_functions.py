@@ -239,17 +239,25 @@ def test_canonicalize_fast_path_equals_rfc_resolution():
         "https://news.voa.test/art/{i}?utm=1#x", "http://news.daum.test/art/{i}/",
         "art/{i}", "../up/{i}", "/a/./b/{i}", "/priv/art/{i}",
         "HTTPS://News.Test/art/{i}",
+        # ;params and tab forms: urlparse drops them, so must the fast path
+        "/art/x;sid={i}", "x;sid={i}", "/art/./x;sid={i}", "/art;v={i}/x",
+        "https://news.voa.test/art/{i};jsessionid=9?q=1", "/a\tb/{i}",
     ]
     for i in range(500):
         h = rng.choice(forms).format(i=i)
         for b in bases:
             assert canonicalize(h, b) == slow(h, b), (h, b)
+    # one page, one canonical URL: every spelling drops the last ;params
+    b = "https://news.nate.test/art/y"
+    for h in ("/art/x;sid=1", "x;sid=1", "/art/./x;sid=1", "/art/x;sid=1/"):
+        assert canonicalize(h, b) == ("https://news.nate.test/art/x", "news.nate.test"), h
 
 
 def test_canonicalize_batch_path_is_urlparse_path():
     """The batch gate parses each candidate once: its validity and robots
     path must equal re-parsing the canonical URL with urlparse, also where
-    urlparse drops a last segment's ;params or a tab/CR/LF."""
+    urlparse drops a last segment's ;params or a tab/CR/LF, and the
+    canonical URL must canonicalize to itself."""
     import random
 
     from urllib.parse import urlparse
@@ -283,7 +291,12 @@ def test_canonicalize_batch_path_is_urlparse_path():
         assert ok == want_ok, (href, b)
         if ok:
             assert (c, h, path) == (want_c, want_h, p.path), (href, b)
-    assert any(";" in c for c in canon)  # the quirk branch ran
+            assert canonicalize(c, b) == (c, h), (href, b)  # a fixed point
+    assert any(";" in c for c in canon)  # ;-bearing canonical paths were checked
+    # an opaque path ending in '/' (no authority) is invalid, never an error
+    opaque = ["http:x/", "foo:bar/", "x:y;p/", "http:x;p/", "ftp:a;b/;c/", "news:a/"]
+    valid, _, _, _ = canonicalize_batch(opaque, [bases[0]] * len(opaque))
+    assert valid == [False] * len(opaque)
 
 
 def test_parse_cascade_series_equals_scalar():

@@ -240,7 +240,7 @@ def test_revenue_by_priority_hash_deterministic(harness):
     assert len(digests) == 1, "revenue hash varies with block layout"
 
 
-def test_n_buckets_scales_with_data_size():
+def test_n_buckets_scales_with_data_size(ray_session):
     """VERDICT #3: bucket counts must grow with the DATA, not only the
     cluster — one bucket group must stay ~TARGET_GROUP_BYTES regardless of
     input scale on a fixed-size cluster."""
@@ -252,7 +252,12 @@ def test_n_buckets_scales_with_data_size():
     assert big >= 1024 and big > small
     # derived B stays a power of two (bucket masks use & (B-1))
     assert big & (big - 1) == 0
-    assert n_buckets() == n_buckets(size_bytes=None)  # hint-less floor
+    # hint-less: the smallest power of two >= 2 x cluster CPUs, no fixed floor
+    import ray
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    want = next(1 << k for k in range(64) if 1 << k >= 2 * cpus)
+    assert n_buckets() == n_buckets(size_bytes=None) == want
     # pair grids: per-cell side capped at target_side
     assert grid_buckets(100, target_side=20_000, floor=4) == 4
     g = grid_buckets(10_000_000, target_side=20_000, floor=4)
@@ -272,6 +277,13 @@ def test_n_buckets_scales_with_data_size():
 @pytest.mark.parametrize(
     "name",
     [
+        "dedup_minhash_lsh",
+        "dedup_simhash",
+        "dedup_minhash_clusters",
+        "dedup_keep_best",
+        "corpus_clean",
+        "exact_substring_dups",
+        "split_contamination",
         "events_rollup",
         "user_session_counts",
         "customer_order_counts",
@@ -290,19 +302,20 @@ def test_bucket_count_invariance(harness, name, monkeypatch):
     INTERNAL exchange detail: forcing wildly different bucket counts must
     produce identical results (the round-3 split_contamination lesson,
     asserted for the round-4 bucketed plans). n_buckets is imported late
-    inside each operator, so patching the module function reaches them."""
+    inside each operator (and in textan.contamination_buckets), so patching
+    the module function reaches them. 2 is the count at one CPU."""
     import hashlib
 
     import newsray.tabular as tabular
+    from newsray.textan import contamination_buckets
 
     entrymod, _ = harness
     fn = entrymod.queries()[name]
     real = tabular.n_buckets
     digests = set()
-    for forced in (4, 64):
-        monkeypatch.setattr(
-            tabular, "n_buckets", lambda min_b=32, size_bytes=None, f=forced: f
-        )
+    for forced in (2, 64):
+        monkeypatch.setattr(tabular, "n_buckets", lambda size_bytes=None, f=forced: f)
+        assert contamination_buckets(1 << 40) == forced
         try:
             df = _normalize(_to_pandas(fn(SF)))
         finally:
@@ -643,12 +656,12 @@ def test_term_lookup_indexed_empty_is_dataset(ray_session, monkeypatch):
 
 def test_idempotent_partitioned_build_race_loser(tmp_path, monkeypatch):
     """The shared index-build contract: a builder whose swap collides with
-    a racing winner (rename fails, winner's complete tree + matching marker
-    in place) serves the winner's tree and cleans its own temp dir — never
-    a mixed in-place write, never an error for an identical fingerprint."""
+    a racing winner (the winner renames its complete tree + matching marker
+    in between the loser's two renames) serves the winner's tree and cleans
+    its own temp dirs — never a mixed in-place write, never an error for an
+    identical fingerprint."""
     import json
     import os
-    import shutil as _sh
 
     from newsray.tabular import idempotent_partitioned_build
 
@@ -663,25 +676,118 @@ def test_idempotent_partitioned_build_race_loser(tmp_path, monkeypatch):
         with open(os.path.join(tmp_dir, "part.parquet"), "w") as f:
             f.write("data")
 
-    real_rmtree = _sh.rmtree
+    real_rename = os.rename
 
-    def winner_reappears(path, ignore_errors=False):
-        real_rmtree(path, ignore_errors=ignore_errors)
-        if path == out:  # the racing winner swaps ITS complete tree in
+    def winner_reappears(src, dst):
+        real_rename(src, dst)
+        if src == out:  # the racing winner renames ITS complete tree in
             os.makedirs(out)
             with open(os.path.join(out, "_built.json"), "w") as f:
-                json.dump(want, f)
+                json.dump({**want, "_partitions": 0}, f)
 
-    monkeypatch.setattr(_sh, "rmtree", winner_reappears)
+    monkeypatch.setattr(os, "rename", winner_reappears)
     got = idempotent_partitioned_build(out, want, build)
     assert got == out
-    assert json.load(open(os.path.join(out, "_built.json"))) == want
-    assert not os.path.isdir(f"{out}.build-{os.getpid()}")  # loser cleaned up
-    # and a plain rebuild-on-mismatch still works with rmtree restored
-    monkeypatch.setattr(_sh, "rmtree", real_rmtree)
+    assert json.load(open(os.path.join(out, "_built.json"))) == {**want, "_partitions": 0}
+    assert not os.path.exists(os.path.join(out, "part.parquet"))  # the winner's tree
+    assert os.listdir(tmp_path) == ["idx"]  # loser's build and aside dirs removed
+    # and a plain rebuild-on-mismatch still works with rename restored
+    monkeypatch.setattr(os, "rename", real_rename)
     got = idempotent_partitioned_build(out, {"v": 3}, build)
-    assert json.load(open(os.path.join(out, "_built.json"))) == {"v": 3}
+    assert json.load(open(os.path.join(out, "_built.json"))) == {"v": 3, "_partitions": 0}
     assert os.path.exists(os.path.join(out, "part.parquet"))
+    assert os.listdir(tmp_path) == ["idx"]
+
+    def broken(tmp_dir):
+        build(tmp_dir)
+        raise ValueError("build failed")
+
+    # a failed build leaves the served tree and no build or aside dir behind
+    with pytest.raises(ValueError):
+        idempotent_partitioned_build(out, {"v": 4}, broken)
+    assert json.load(open(os.path.join(out, "_built.json")))["v"] == 3
+    assert os.listdir(tmp_path) == ["idx"]
+    # a mismatched fingerprint after a collision raises, and cleans up too
+    os.makedirs(str(tmp_path / "idx2"))
+    out = str(tmp_path / "idx2")
+    monkeypatch.setattr(os, "rename", winner_reappears)
+    with pytest.raises(OSError):
+        idempotent_partitioned_build(out, {"v": 5}, build)
+    assert sorted(os.listdir(tmp_path)) == ["idx", "idx2"]
+
+
+def test_index_reader_racing_rebuild_never_reads_empty(tmp_path):
+    """A probe racing rebuilds of its index gets the complete file list or
+    an error, never an empty answer: the swap renames the old tree aside
+    and the new one in (no rmtree in between), and the probe listing
+    raises on a missing or swapped tree and on a tree short of the
+    partition dirs its marker lists."""
+    import json
+    import os
+    import threading
+
+    from newsray.tabular import idempotent_partitioned_build, partition_files
+
+    out = str(tmp_path / "idx")
+
+    def build(tmp_dir):
+        for p in range(8):
+            os.makedirs(os.path.join(tmp_dir, f"part={p}"))
+            for k in range(4):
+                open(os.path.join(tmp_dir, f"part={p}", f"{k}.parquet"), "w").close()
+
+    idempotent_partitioned_build(out, {"v": 0}, build)
+    stop = threading.Event()
+
+    def rebuild():
+        v = 1
+        while not stop.is_set():
+            idempotent_partitioned_build(out, {"v": v}, build)
+            v += 1
+
+    t = threading.Thread(target=rebuild)
+    t.start()
+    empty = answered = raised = 0
+    try:
+        for _ in range(3000):
+            try:
+                files = partition_files(out, "part", [0, 5])
+            except OSError:
+                raised += 1
+                continue
+            answered += 1
+            empty += len(files) != 8
+    finally:
+        stop.set()
+        t.join()
+    assert empty == 0 and answered > 0, (empty, answered, raised)
+    # a tree short of the partitions its marker lists is an error, not an
+    # empty index
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "_built.json").write_text(json.dumps({"v": 0, "_partitions": 8}))
+    with pytest.raises(RuntimeError, match="marker lists 8 partitions, found 0"):
+        partition_files(str(bare), "part", [0])
+
+
+def test_index_over_empty_source_answers_empty(ray_session, tmp_path):
+    """An empty source writes no partitions: its probes answer empty, as
+    the SQL over the same empty table does, and never raise."""
+    import os
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from newsray.tabular import idempotent_partitioned_build, partition_files
+
+    empty = pa.table({"part": pa.array([], pa.int64()), "x": pa.array([], pa.int64())})
+
+    def build(tmp_dir):
+        rd.from_arrow(empty).write_parquet(tmp_dir, partition_cols=["part"])
+
+    out = idempotent_partitioned_build(str(tmp_path / "idx"), {"v": 0}, build)
+    assert not [e for e in os.scandir(out) if e.is_dir()]
+    assert partition_files(out, "part", [0, 1]) == []
 
 
 def test_daily_ma_calendar_gaps(ray_session, tmp_path):
