@@ -85,17 +85,15 @@ def bench_crawl_config():
         # the state-actor pool (seen shards, which also hold the politeness
         # state) scales with the cluster so its compute parallelizes
         # proportionally at every level — an honest two-cluster-size
-        # comparison; the actors stay at num_cpus=0 because a fractional
-        # reservation quantizes away a whole 1-CPU task slot at the 2-CPU
-        # level (measured: it turns the lo run into a 1-slot run and
-        # fabricates >1 efficiency)
+        # comparison; the actors reserve no CPU (`make_seen_pool`): a
+        # fractional reservation quantizes away a whole 1-CPU task slot at
+        # the 2-CPU level (measured: it turns the lo run into a 1-slot run
+        # and fabricates >1 efficiency)
         n_seen_shards=max(2, NCPUS),
-        actor_num_cpus=0.0,
         # TOTAL filter capacity is what matters: a fixed per-shard capacity
         # would overload the cuckoo at small shard counts (eviction chains
         # blow up past ~80% load — measured 200 s of kicking at 2 shards)
         seen_capacity_per_shard=(1 << 22) // max(2, NCPUS),
-        batch_size=None,
         # block fan-out capped at the VM's ~16 effective cores: beyond that,
         # extra blocks only add per-task overhead (32 vCPUs are SMT threads)
         repartition_blocks=4 * min(NCPUS, 16),

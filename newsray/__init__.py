@@ -23,7 +23,8 @@ def _install_log_filters() -> None:
     with a bare ``ds.sort`` on a tiny keyed dataset — it is not caused by
     UDF output typing). Empty ranges arise whenever a sort-exchange has
     more output partitions than distinct keys (any coarse hash-bucket
-    ``groupby(part).map_groups``), and the zero-column block is built by
+    exchange: the ``groupby("_jb")`` of `tabular.bucket_groups` and
+    `tabular.bucket_join`), and the zero-column block is built by
     Ray's ``merge_sorted_blocks`` / ``_empty_table()`` — user code never
     sees it. Two spellings, by reduce block type: Arrow empties print as
     "new schema: ." and pandas empties (``map_groups(batch_format=

@@ -47,28 +47,27 @@ _FAST_ABS = re.compile(r"^(https?)://([^/?#]+)((?:/[^?#]*)?)(?:[?#].*)?$")
 # root-relative path with no scheme/authority and no dot-segments
 _FAST_REL = re.compile(r"^/(?!/)[^?#]*(?:[?#].*)?$")
 _DOT_SEG = re.compile(r"/\.\.?(?:/|$)")
-# urlparse drops tab/CR/LF and splits off a last segment's ;params
-_PARSE_QUIRKS = re.compile(r"[;\t\r\n]")
+# urlparse drops these anywhere in a URL
+_DROPPED = str.maketrans("", "", "\t\r\n")
 
 
 def _finish(scheme: str, host: str, path: str) -> tuple[str, str, str, str]:
     host = host.lower()
-    path = path or "/"
-    if len(path) > 1 and path.endswith("/"):
-        path = path[:-1]
+    path = path.rstrip("/") or "/"
     return f"{scheme}://{host}{path}", host, scheme, path
 
 
 def _canonical_parts(href: str, base_url: str) -> tuple[str, str, str, str]:
     """``(canon_url, host, scheme, path)`` of ``canonicalize``, from one
-    parse of the URL."""
-    h = href.strip()
+    parse of the URL. Tab/CR/LF go first, so the rewrites below see the
+    URL that urlparse will see."""
+    h = href.strip().translate(_DROPPED)
     if h.startswith("//"):
         h = "https:" + h
     elif h.startswith("./"):
         h = h[1:]
     h = h.replace(".test./", ".test/")
-    quirk = _PARSE_QUIRKS.search(h)
+    quirk = ";" in h  # urlparse splits off a last segment's ;params
     m = None if quirk else _FAST_ABS.match(h)
     if m is not None:
         path = m.group(3)
@@ -101,8 +100,9 @@ def canonicalize(href: str, base_url: str) -> tuple[str, str]:
 
     Hot path: absolute http(s) URLs and clean root-relative paths resolve
     with two compiled regexes (~10× urllib); anything else (dot segments,
-    path-relative, ``;``/tab/CR/LF, exotic schemes) takes urljoin/urlparse,
-    with identical results (property-tested in tests/test_functions.py)."""
+    path-relative, ``;``, exotic schemes) takes urljoin/urlparse, with
+    identical results (property-tested in tests/test_functions.py). The
+    result is a fixed point: ``canonicalize(c, b)[0] == c``."""
     return _canonical_parts(href, base_url)[:2]
 
 

@@ -89,28 +89,20 @@ def _verdict_table(doc_ids: pa.ChunkedArray | pa.Array, verdict: str) -> pa.Tabl
     )
 
 
-def _exact_bucket(g: pd.DataFrame) -> pa.Table:
+def _exact_bucket(g: pd.DataFrame) -> pd.DataFrame:
     """One COARSE hash bucket (many content hashes co-located): min doc_id
     per hash keeps its text, the rest become exact_dup rows. Vectorized
     `transform('min')` inside the bucket — replaces a per-content-hash
     map_groups whose mostly-singleton pandas groups paid the tiny-group
     tax (same rewrite as dedup_simhash, 77c744a)."""
     mins = g.groupby("content_hash")["doc_id"].transform("min")
-    return pa.Table.from_pydict(
-        {
-            "doc_id": pa.array(g["doc_id"].astype("int64").to_numpy(), pa.int64()),
-            "text": pa.array(g["text"].astype(str).to_numpy(), pa.string()),
-            "is_first": pa.array(
-                g["doc_id"].to_numpy() == mins.to_numpy(), pa.bool_()
-            ),
-        }
-    )
+    return g.assign(is_first=g["doc_id"] == mins)
 
 
 @register("corpus_clean", sql=golden_sql("corpus_clean"))
 def corpus_clean(sf_dir: str):
     from .dedup_ops import minhash_pairs_ds, pairs_to_clusters
-    from .tabular import bucket_join, n_buckets
+    from .tabular import bucket_groups, bucket_join, n_buckets
 
     ds = read(sf_dir, "documents", ["doc_id", "text"])
     tagged = ds.map_batches(_stage12, batch_format="pyarrow").materialize()
@@ -129,24 +121,23 @@ def corpus_clean(sf_dir: str):
         hx = [
             hashlib.md5(t.encode("utf-8")).hexdigest() for t in s["text"].to_pylist()
         ]
-        # coarse bucket key: many content hashes per group, so the exact
-        # dedup pays O(buckets) pandas-group overhead instead of O(hashes)
-        hb = [int(h[:8], 16) & (HB - 1) for h in hx]
         return pa.Table.from_pydict(
             {
                 "doc_id": s["doc_id"],
                 "text": s["text"],
                 "content_hash": pa.array(hx, pa.string()),
-                "hash_bucket": pa.array(hb, pa.int64()),
             }
         )
 
-    exact = (
-        tagged.map_batches(hash_survivors, batch_format="pyarrow")
-        .groupby("hash_bucket")
-        .map_groups(_exact_bucket, batch_format="pandas")
-        .materialize()
-    )
+    # coarse buckets: many content hashes per group, so the exact dedup
+    # pays O(buckets) pandas-group overhead instead of O(hashes)
+    exact = bucket_groups(
+        tagged.map_batches(hash_survivors, batch_format="pyarrow"),
+        "content_hash",
+        HB,
+        _exact_bucket,
+        {"doc_id": pa.int64(), "text": pa.string(), "is_first": pa.bool_()},
+    ).materialize()
     exact_losers = exact.map_batches(
         lambda b: _verdict_table(
             b.filter(pc.invert(b["is_first"]))["doc_id"], "exact_dup"

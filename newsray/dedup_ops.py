@@ -208,7 +208,7 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
     Returns verified pairs (doc_a < doc_b, jaccard ≥ 0.5). Shared by
     `dedup_minhash_lsh` (whole corpus) and `cleanse.corpus_clean` (the
     post-filter survivor set)."""
-    from .tabular import bucket_join, n_buckets
+    from .tabular import bucket_groups, bucket_join, n_buckets
 
     a, b = _perm_params()
     # B sizes the text re-join and the coarse band partitions (each holds
@@ -216,16 +216,12 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
     B = n_buckets(size_bytes=size_bytes)
 
     def bands(batch: pa.Table) -> pa.Table:
-        out = {"part": [], "band_hash": [], "doc_id": []}
+        out = {"band_hash": [], "doc_id": []}
         for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
             mh = _minhash(_shingles(text), a, b)
             for band in range(N_BANDS):
                 chunk = mh[band * ROWS_PER_BAND : (band + 1) * ROWS_PER_BAND]
                 bh = f"{band}:" + hashlib.blake2b(chunk.tobytes(), digest_size=8).hexdigest()
-                out["part"].append(
-                    int.from_bytes(hashlib.blake2b(bh.encode(), digest_size=4).digest(), "little")
-                    % B
-                )
                 out["band_hash"].append(bh)
                 out["doc_id"].append(doc_id)
         return pa.Table.from_pydict(out)
@@ -249,17 +245,10 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
                 for j in range(i + 1, len(ids)):
                     out_a.append(int(ids[i]))
                     out_b.append(int(ids[j]))
-        from .tabular import from_pandas_clean
+        return pd.DataFrame({"doc_a": out_a, "doc_b": out_b})
 
-        return from_pandas_clean(pd.DataFrame(
-            {"doc_a": pd.Series(out_a, dtype="int64"),
-             "doc_b": pd.Series(out_b, dtype="int64")}
-        ))
-
-    cand_pairs = (
-        ds.map_batches(bands, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(bucket_pairs, batch_format="pandas")
+    cand_pairs = bucket_groups(
+        ds.map_batches(bands, batch_format="pyarrow"), "band_hash", B, bucket_pairs, PAIR
     )
 
     # -- re-join members with their texts (bucketed hash join by doc_id) ----
@@ -274,9 +263,7 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
         )
 
     def attach_text(mem: pd.DataFrame, corpus: pd.DataFrame) -> pd.DataFrame:
-        out = mem.drop_duplicates().merge(corpus, on="doc_id", how="left")
-        out["pb"] = (out["doc_a"] * 1_000_003 + out["doc_b"]) & (B - 1)
-        return out
+        return mem.drop_duplicates().merge(corpus, on="doc_id", how="left")
 
     joined = bucket_join(
         (cand_pairs.map_batches(members, batch_format="pyarrow"), {**DOC_ID, **PAIR}),
@@ -284,7 +271,7 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
         "doc_id",
         B,
         attach_text,
-        {**PAIR, **DOC_ID, "text": pa.string(), "pb": pa.int64()},
+        {**PAIR, **DOC_ID, "text": pa.string()},
     )
 
     # -- co-locate by pair, verify with exact Jaccard -----------------------
@@ -311,13 +298,11 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
                 rows_a.append(int(da))
                 rows_b.append(int(db))
                 rows_j.append(float(np.round(jac, 4)))
-        return pd.DataFrame(
-            {"doc_a": pd.Series(rows_a, dtype="int64"),
-             "doc_b": pd.Series(rows_b, dtype="int64"),
-             "jaccard": pd.Series(rows_j, dtype="float64")}
-        )
+        return pd.DataFrame({"doc_a": rows_a, "doc_b": rows_b, "jaccard": rows_j})
 
-    return joined.groupby("pb").map_groups(verify_pairs, batch_format="pandas")
+    return bucket_groups(
+        joined, ["doc_a", "doc_b"], B, verify_pairs, {**PAIR, "jaccard": pa.float64()}
+    )
 
 
 @register("dedup_minhash_lsh", sql=golden_sql("dedup_minhash_lsh"))
@@ -379,21 +364,16 @@ def dedup_simhash(sf_dir: str):
     sequential golden oracle (golden.py)."""
     ds = read(sf_dir, "documents", ["doc_id", "text"])
 
-    from .tabular import n_buckets
+    from .tabular import bucket_groups, n_buckets
 
     B = n_buckets(size_bytes=ds.size_bytes())
 
     def sigs(batch: pa.Table) -> pa.Table:
-        out = {"part": [], "band": [], "band_val": [], "doc_id": [], "sig": []}
+        out = {"band": [], "band_val": [], "doc_id": [], "sig": []}
         for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
             s = _simhash64(text)
             for band in range(4):
                 bv = (s >> (16 * band)) & 0xFFFF
-                # coarse partition: one group = MANY (band, band_val)
-                # buckets — map_groups over ~65k mostly-singleton 16-bit
-                # buckets paid ~1-15 ms of pandas slice/convert per group
-                # (18.9 s of remote wall at sf0.1)
-                out["part"].append((band * 0x10001 + bv * 2_654_435_761) % B)
                 out["band"].append(band)
                 out["band_val"].append(bv)
                 out["doc_id"].append(doc_id)
@@ -402,7 +382,6 @@ def dedup_simhash(sf_dir: str):
             out,
             schema=pa.schema(
                 [
-                    ("part", pa.int64()),
                     ("band", pa.int64()),
                     ("band_val", pa.int64()),
                     ("doc_id", pa.int64()),
@@ -411,12 +390,13 @@ def dedup_simhash(sf_dir: str):
             ),
         )
 
-    def verify(g: pd.DataFrame) -> pa.Table:
-        # one coarse partition: vectorized size prefilter drops singleton
-        # (band, band_val) buckets, the hamming check runs only on actual
-        # collisions (same shape as minhash bucket_pairs)
-        from .tabular import from_pandas_clean
-
+    def verify(g: pd.DataFrame) -> pd.DataFrame:
+        # one coarse partition = MANY (band, band_val) buckets (map_groups
+        # over ~65k mostly-singleton 16-bit buckets paid ~1-15 ms of pandas
+        # slice/convert per group, 18.9 s of remote wall at sf0.1): a
+        # vectorized size prefilter drops singleton buckets, the hamming
+        # check runs only on actual collisions (same shape as minhash
+        # bucket_pairs)
         d = g.drop_duplicates(["band", "band_val", "doc_id"])
         cnt = d.groupby(["band", "band_val"], sort=False)["doc_id"].transform("size")
         d = d[cnt >= 2]
@@ -429,16 +409,14 @@ def dedup_simhash(sf_dir: str):
             out_a.extend(ids[ii])
             out_b.extend(ids[jj])
             out_h.extend(ham)
-        return from_pandas_clean(pd.DataFrame(
-            {"doc_a": pd.Series(out_a, dtype="int64"),
-             "doc_b": pd.Series(out_b, dtype="int64"),
-             "hamming": pd.Series(out_h, dtype="int64")}
-        ))
+        return pd.DataFrame({"doc_a": out_a, "doc_b": out_b, "hamming": out_h})
 
-    pairs = (
-        ds.map_batches(sigs, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(verify, batch_format="pandas")
+    pairs = bucket_groups(
+        ds.map_batches(sigs, batch_format="pyarrow"),
+        ["band", "band_val"],
+        B,
+        verify,
+        {**PAIR, "hamming": pa.int64()},
     )
     from ray.data.aggregate import Min
 
@@ -806,7 +784,7 @@ def exact_substring_dups(sf_dir: str):
     """
     from ray.data.aggregate import Sum
 
-    from .tabular import from_pandas_clean
+    from .tabular import bucket_groups
     from .textan import contamination_buckets
 
     ds = read(sf_dir, "documents", ["doc_id", "text"])
@@ -828,36 +806,32 @@ def exact_substring_dups(sf_dir: str):
             out_g.extend(counts.keys())
             out_d.extend([d] * len(counts))
             out_n.extend(counts.values())
-        part = [int(x[:8], 16) % nb for x in out_g]
         return pa.Table.from_pydict(
             {
-                "part": pa.array(part, pa.int64()),
+                # the gram's md5 prefix: its exchange key, hashed once here
+                "gk": pa.array([int(x[:8], 16) for x in out_g], pa.int64()),
                 "g": pa.array(out_g, pa.string()),
                 "doc_id": pa.array(out_d, pa.int64()),
                 "npos": pa.array(out_n, pa.int64()),
             }
         )
 
-    def part_group(g: pd.DataFrame) -> pa.Table:
+    def part_group(g: pd.DataFrame) -> pd.DataFrame:
         # one coarse partition = many grams; rows are DISTINCT (gram, doc)
         # with per-doc position counts, so "≥2 docs hold this gram" is a
         # vectorized per-gram row count
-        if len(g) == 0:
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "pn": pa.array([], pa.int64()),
-                }
-            )
         ndocs = g.groupby("g")["doc_id"].transform("size")
         hit = g[ndocs >= 2]
-        agg = hit.groupby("doc_id", sort=False)["npos"].sum().reset_index(name="pn")
-        return from_pandas_clean(agg.astype({"doc_id": "int64", "pn": "int64"}))
+        return hit.groupby("doc_id", sort=False)["npos"].sum().reset_index(name="pn")
 
     return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(part_group, batch_format="pandas")
+        bucket_groups(
+            ds.map_batches(explode, batch_format="pyarrow"),
+            "gk",
+            nb,
+            part_group,
+            {**DOC_ID, "pn": pa.int64()},
+        )
         .groupby("doc_id")
         .aggregate(Sum("pn", alias_name="n_dup_windows"))
     )
@@ -888,7 +862,7 @@ def dedup_keep_best(sf_dir: str):
 
     Golden: sequential union-find + the same longest/min-id rule
     (golden.py), hash-diffed by the driver gate."""
-    from .tabular import bucket_join, n_buckets
+    from .tabular import bucket_groups, bucket_join, n_buckets
 
     # dedup_minhash_lsh sizes the band exchange and text re-join off the
     # corpus size_bytes hint (a hint-less minhash_pairs_ds would size by
@@ -902,11 +876,9 @@ def dedup_keep_best(sf_dir: str):
         return pa.table({"doc_id": b["doc_id"], "n_tokens": n})
 
     def attach_counts(mem: pd.DataFrame, cnt: pd.DataFrame) -> pd.DataFrame:
-        out = mem.merge(cnt, on="doc_id", how="left")
-        out["cb"] = out["cluster_id"] & (B - 1)
-        return out
+        return mem.merge(cnt, on="doc_id", how="left")
 
-    def resolve(g: pd.DataFrame) -> pa.Table:
+    def resolve(g: pd.DataFrame) -> pd.DataFrame:
         # longest wins, ties → min doc_id: sort once, first row per cluster
         d = g.sort_values(
             ["cluster_id", "n_tokens", "doc_id"],
@@ -914,21 +886,21 @@ def dedup_keep_best(sf_dir: str):
             kind="mergesort",
         )
         best = d.groupby("cluster_id", sort=False)["doc_id"].transform("first")
-        return pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(d["doc_id"].to_numpy(), pa.int64()),
-                "cluster_id": pa.array(d["cluster_id"].to_numpy(), pa.int64()),
-                "best_doc_id": pa.array(best.to_numpy(), pa.int64()),
-                "kept": pa.array(d["doc_id"].to_numpy() == best.to_numpy(), pa.bool_()),
-            }
-        )
+        return d.assign(best_doc_id=best, kept=d["doc_id"] == best)
 
+    cluster = {"cluster_id": pa.int64()}
     joined = bucket_join(
-        (clusters, {**DOC_ID, "cluster_id": pa.int64()}),
+        (clusters, {**DOC_ID, **cluster}),
         (docs.map_batches(counts, batch_format="pyarrow"), {**DOC_ID, "n_tokens": pa.int64()}),
         "doc_id",
         B,
         attach_counts,
-        {**DOC_ID, "cluster_id": pa.int64(), "n_tokens": pa.int64(), "cb": pa.int64()},
+        {**DOC_ID, **cluster, "n_tokens": pa.int64()},
     )
-    return joined.groupby("cb").map_groups(resolve, batch_format="pandas")
+    return bucket_groups(
+        joined,
+        "cluster_id",
+        B,
+        resolve,
+        {**DOC_ID, **cluster, "best_doc_id": pa.int64(), "kept": pa.bool_()},
+    )

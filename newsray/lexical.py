@@ -205,11 +205,12 @@ def doc_bigram_lm_score(sf_dir: str):
     (2) doc bigram rows meet their q row in a `tabular.bucket_join` BY
         (w1,w2); the in-bucket combiner folds to ≤1 partial row per
         (doc, bucket);
-    (3) partials meet BY hash(doc) for the exact int64 (Σq, n_bigrams)
-        fold. Documents with <2 tokens have no bigrams and are excluded
-        by definition (mirrored by the SQL's len(t) >= 2).
+    (3) partials meet BY doc for the exact int64 (Σq, n_bigrams) fold.
+        Documents with <2 tokens have no bigrams and are excluded by
+        definition (mirrored by the SQL's len(t) >= 2).
+    (1) and (3) are `tabular.bucket_groups` exchanges.
     """
-    from .tabular import bucket_join, from_pandas_clean, key_buckets, n_buckets
+    from .tabular import bucket_groups, bucket_join, n_buckets
 
     ds = read(sf_dir, "documents", ["doc_id", "text"])
     nb = n_buckets(size_bytes=ds.size_bytes())
@@ -247,16 +248,9 @@ def doc_bigram_lm_score(sf_dir: str):
 
     def count_partial(b: pa.Table) -> pa.Table:
         g = b.group_by(["w1", "w2"]).aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "part": key_buckets([g["w1"]], nb),
-                "w1": g["w1"],
-                "w2": g["w2"],
-                "c_part": g["count_all"],
-            }
-        )
+        return pa.table({"w1": g["w1"], "w2": g["w2"], "c_part": g["count_all"]})
 
-    def q_rows(g: pd.DataFrame) -> pa.Table:
+    def q_rows(g: pd.DataFrame) -> pd.DataFrame:
         # one w1-bucket: every (w1, w2, c_part) partial of a given w1 is
         # here, so ONE in-bucket fold yields both the global C(w1,w2) and
         # C(w1) = Σ_w2 — no separate count exchange
@@ -264,35 +258,33 @@ def doc_bigram_lm_score(sf_dir: str):
         c1 = cnt.groupby("w1")["c_part"].transform("sum").to_numpy().astype("float64")
         c12 = cnt["c_part"].to_numpy().astype("float64")
         q = np.floor(1e12 * c12 / c1 + 0.5).astype("int64")  # ROUND(1e12*c12/c1, 0)
-        out = pd.DataFrame({"w1": cnt["w1"], "w2": cnt["w2"], "q": q})
-        return from_pandas_clean(out)
+        return cnt.assign(q=q)
 
-    qtab = (
-        bg.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(q_rows, batch_format="pandas")
+    bigram = {"w1": pa.string(), "w2": pa.string()}
+    qtab = bucket_groups(
+        bg.map_batches(count_partial, batch_format="pyarrow"),
+        "w1",
+        nb,
+        q_rows,
+        {**bigram, "q": pa.int64()},
     )
 
     def bucket_score(docs: pd.DataFrame, model: pd.DataFrame) -> pd.DataFrame:
         # one (w1,w2)-bucket: doc rows meet model rows; the combiner folds
-        # to ≤1 partial row per doc in this bucket, tagged with the
-        # doc-hash bucket for the final exchange
+        # to ≤1 partial row per doc in this bucket
         m = docs.merge(model, on=["w1", "w2"])
-        agg = m.groupby("doc_id", as_index=False).agg(sq_part=("q", "sum"), nbg_part=("q", "size"))
-        agg["dpart"] = agg["doc_id"] % nb
-        return agg
+        return m.groupby("doc_id", as_index=False).agg(sq_part=("q", "sum"), nbg_part=("q", "size"))
 
-    bigram = {"w1": pa.string(), "w2": pa.string()}
     partials = bucket_join(
         (bg, {"doc_id": pa.int64(), **bigram}),
         (qtab, {**bigram, "q": pa.int64()}),
         ["w1", "w2"],
         nb,
         bucket_score,
-        {"dpart": pa.int64(), "doc_id": pa.int64(), "sq_part": pa.int64(), "nbg_part": pa.int64()},
+        {"doc_id": pa.int64(), "sq_part": pa.int64(), "nbg_part": pa.int64()},
     )
 
-    def doc_fold(g: pd.DataFrame) -> pa.Table:
+    def doc_fold(g: pd.DataFrame) -> pd.DataFrame:
         # one doc-hash bucket: every (doc, sq_part, nbg_part) partial of a
         # given doc is here — exact int64 fold, then the display math
         agg = g.groupby("doc_id", sort=False).agg(
@@ -303,15 +295,15 @@ def doc_bigram_lm_score(sf_dir: str):
         nbg = agg["n_bigrams"].to_numpy(np.int64)
         score = sq / nbg.astype("float64") / 1e12  # CAST(sq AS DOUBLE)/nbg/1e12
         score = np.floor(np.abs(score) * 1e4 + 0.5) / 1e4 * np.sign(score)
-        return pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(agg["doc_id"].to_numpy(np.int64), pa.int64()),
-                "n_bigrams": pa.array(nbg, pa.int64()),
-                "lm_score": pa.array(score, pa.float64()),
-            }
-        )
+        return agg.assign(lm_score=score)
 
-    return partials.groupby("dpart").map_groups(doc_fold, batch_format="pandas")
+    return bucket_groups(
+        partials,
+        "doc_id",
+        nb,
+        doc_fold,
+        {"doc_id": pa.int64(), "n_bigrams": pa.int64(), "lm_score": pa.float64()},
+    )
 
 
 @register(

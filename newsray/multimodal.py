@@ -111,6 +111,9 @@ def media_features(sf_dir: str):
         batch_format="pyarrow",
         batch_size=256,  # small batches: wide binary rows
         concurrency=2,
+        # at 1 CPU per actor the two actors held every CPU of a 1- or
+        # 2-CPU session and the read feeding them never ran (like `SeenShard`)
+        num_cpus=0,
     )
 
 
@@ -198,4 +201,5 @@ def video_frame_sample(sf_dir: str):
         batch_format="pyarrow",
         batch_size=128,  # wide binary rows → small batches
         concurrency=2,
+        num_cpus=0,  # see media_features
     )

@@ -609,14 +609,11 @@ class PipelineConfig:
     # because perfbench/session.py (PIPE_KW) still passes it; the benchmark
     # PR of ROADMAP item 10 drops it there and here.
     n_sched_shards: int = 2
-    batch_size: int | None = None  # fetch+parse batch rows; None = one batch
-    # per block (repartition_blocks controls task granularity / skew spread)
+    # fetch+parse runs one batch per block, so this sets its task
+    # granularity and skew spread
     repartition_blocks: int = 16
     checkpoint_dir: str | None = None
     seen_capacity_per_shard: int = 1 << 18
-    # optional CPU reservation per state actor (0 = unreserved; a nonzero
-    # fraction quantizes away whole task slots at very small cluster sizes)
-    actor_num_cpus: float = 0.0
     # chaos hook (tests): name of a Ray actor whose take() decides whether a
     # fetch task raises mid-wave — proves the wave protocol's output is
     # unchanged when Ray's task retry re-runs a batch late in the wave.
@@ -643,8 +640,7 @@ class CrawlPipeline:
         self.web = build_web(cfg.web_params)  # driver-side: seeds only
         # the crawl's only actors: seen set, politeness state, counters
         self.seen_shards = make_seen_pool(
-            cfg.n_seen_shards, cfg.seen_capacity_per_shard,
-            cfg.policy.host_budget, cfg.actor_num_cpus,
+            cfg.n_seen_shards, cfg.seen_capacity_per_shard, cfg.policy.host_budget
         )
         self.metrics = self.seen_shards[0]  # the shard holding the counters
         self._fuzzy_sites = pa.array([s for s, c in SITES.items() if c.fuzzy_dedup])
@@ -854,7 +850,6 @@ class CrawlPipeline:
             .map_batches(
                 fetch_parse_m,
                 batch_format="pyarrow",
-                batch_size=cfg.batch_size,
                 # worker-death retries are Ray's default; application-level
                 # retry is opted in only under the chaos hook (a real UDF
                 # exception is a bug and should fail loudly, while transient

@@ -357,22 +357,19 @@ def last_click_before_purchase(sf_dir: str):
     per bucket over ts-sorted frames (ray_guide as-of pattern). Partitioning
     assumption: a user's events fit one bucket group; B scales with the
     cluster AND the data (tabular.n_buckets)."""
-    from .tabular import n_buckets
+    from .tabular import bucket_groups, n_buckets
 
     ds = read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
     B = n_buckets(size_bytes=ds.size_bytes())
 
     def prep(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.is_in(b["event_type"], value_set=pa.array(["purchase", "click"])))
-        bucket = pc.cast(pc.bit_wise_and(b["user_id"], pa.scalar(B - 1)), pa.int64())
-        return b.append_column("bucket", bucket)
+        return b.filter(pc.is_in(b["event_type"], value_set=pa.array(["purchase", "click"])))
 
     def asof_bucket(g: pd.DataFrame) -> pd.DataFrame:
         p = g[g["event_type"] == "purchase"].sort_values("ts", kind="mergesort")
         c = g[g["event_type"] == "click"].sort_values("ts", kind="mergesort")
         if len(p) == 0 or len(c) == 0:
-            return pd.DataFrame({"event_id": pd.Series([], dtype="int64"),
-                                 "click_ts": pd.Series([], dtype="datetime64[us]")})
+            return p.iloc[:0]
         m = pd.merge_asof(
             p[["event_id", "ts", "user_id"]],
             c[["ts", "user_id"]].rename(columns={"ts": "click_ts"}),
@@ -382,13 +379,14 @@ def last_click_before_purchase(sf_dir: str):
             direction="backward",
             allow_exact_matches=True,
         )
-        m = m.dropna(subset=["click_ts"])
-        return m[["event_id", "click_ts"]]
+        return m.dropna(subset=["click_ts"])
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(asof_bucket, batch_format="pandas")
+    return bucket_groups(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        "user_id",
+        B,
+        asof_bucket,
+        {"event_id": pa.int64(), "click_ts": pa.timestamp("us")},
     )
 
 
@@ -412,40 +410,42 @@ def hourly_user_windows(sf_dir: str):
     """Tumbling event-time window as a keyed aggregate: window id computed
     vectorized per batch (exact integer arithmetic on epoch-us), then one
     groupby over (user, window)."""
-    from ray.data.aggregate import Count, Sum
-
     ds = read(sf_dir, "events", ["user_id", "ts", "value"])
 
     # High-cardinality keyed aggregate (~1 group per row): Ray's native
     # groupby().aggregate() sort-aggregates per key and is ~8× slower here.
     # Instead ONE coarse hash-partition shuffle (B buckets, scaled to the
     # cluster) and a vectorized pandas aggregation inside each bucket.
-    from .tabular import n_buckets
+    from .tabular import bucket_groups, n_buckets
 
     B = n_buckets(size_bytes=ds.size_bytes())
 
-    def add_window(b: pd.DataFrame) -> pa.Table:
-        from .tabular import from_pandas_clean
+    def add_window(b: pa.Table) -> pa.Table:
+        us = pc.cast(pc.cast(b["ts"], pa.timestamp("us")), pa.int64())  # epoch microseconds
+        return pa.table(
+            {
+                "user_id": b["user_id"],
+                "value": b["value"],
+                "hour_bucket": us.to_numpy(zero_copy_only=False) // 3_600_000_000,
+            }
+        )
 
-        us = b["ts"].astype("datetime64[us]").astype("int64")  # epoch microseconds
-        b = b[["user_id", "value"]].copy()
-        b["hour_bucket"] = us // 3_600_000_000
-        b["part"] = b["user_id"] % B
-        return from_pandas_clean(b)
-
-    def agg_bucket(g: pd.DataFrame) -> pa.Table:
-        from .tabular import from_pandas_clean
-
-        out = g.groupby(["user_id", "hour_bucket"], as_index=False).agg(
+    def agg_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby(["user_id", "hour_bucket"], as_index=False).agg(
             n_events=("value", "size"), sum_value=("value", "sum")
         )
-        out["n_events"] = out["n_events"].astype("int64")
-        return from_pandas_clean(out)
 
-    out = (
-        ds.map_batches(add_window, batch_format="pandas")
-        .groupby("part")
-        .map_groups(agg_bucket, batch_format="pandas")
+    out = bucket_groups(
+        ds.map_batches(add_window, batch_format="pyarrow"),
+        "user_id",
+        B,
+        agg_bucket,
+        {
+            "user_id": pa.int64(),
+            "hour_bucket": pa.int64(),
+            "n_events": pa.int64(),
+            "sum_value": pa.float64(),
+        },
     )
     return out.map_batches(lambda b: round_col(b, "sum_value", 4), batch_format="pyarrow")
 
@@ -476,24 +476,12 @@ def user_session_counts(sf_dir: str):
     by (user, ts, event_id) once, a session starts wherever the user
     changes or the gap exceeds 30 min, and the per-user session count is
     one value_counts over the start flags."""
-    from .tabular import from_pandas_clean, n_buckets
+    from .tabular import bucket_groups, n_buckets
 
     ds = read(sf_dir, "events", ["user_id", "ts", "event_id"])
     B = n_buckets(size_bytes=ds.size_bytes())
 
-    def add_part(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "part", pc.cast(pc.bit_wise_and(b["user_id"], pa.scalar(B - 1)), pa.int64())
-        )
-
-    def sessions(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return pa.Table.from_pydict(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "n_sessions": pa.array([], pa.int64()),
-                }
-            )
+    def sessions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         u = g["user_id"].to_numpy()
         ts = g["ts"].to_numpy().astype("datetime64[us]").astype("int64")
@@ -505,17 +493,10 @@ def user_session_counts(sf_dir: str):
         gap[1:] = ts[1:] - ts[:-1]
         starts = new_user | (gap > 30 * 60 * 1_000_000)
         uniq, counts = np.unique(u[starts], return_counts=True)
-        return pa.Table.from_pydict(
-            {
-                "user_id": pa.array(uniq, pa.int64()),
-                "n_sessions": pa.array(counts.astype("int64"), pa.int64()),
-            }
-        )
+        return pd.DataFrame({"user_id": uniq, "n_sessions": counts})
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(sessions, batch_format="pandas")
+    return bucket_groups(
+        ds, "user_id", B, sessions, {"user_id": pa.int64(), "n_sessions": pa.int64()}
     )
 
 
@@ -795,21 +776,15 @@ def events_window_funcs(sf_dir: str):
     task ever holds more than ~1/B of the table; inside a bucket the scan
     is one vectorized pandas groupby(shift / rolling-max), not per-user
     Python."""
-    from .tabular import from_pandas_clean, n_buckets
+    from .tabular import bucket_groups, n_buckets
 
     ds = read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
     nb = n_buckets(size_bytes=ds.size_bytes())
 
-    def tag(b: pa.Table) -> pa.Table:
-        ub = pc.cast(
-            pc.bit_wise_and(b["user_id"], pa.scalar(nb - 1, pa.int64())), pa.int64()
-        )
-        return b.append_column("ub", ub)
-
-    def windows(g: pd.DataFrame) -> pa.Table:
+    def windows(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         grp = g.groupby("user_id", sort=False)["value"]
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "event_id": g["event_id"].to_numpy(),
                 "user_id": g["user_id"].to_numpy(),
@@ -817,12 +792,18 @@ def events_window_funcs(sf_dir: str):
                 "max3": grp.rolling(3, min_periods=1).max().to_numpy(),
             }
         )
-        return from_pandas_clean(out)
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("ub")
-        .map_groups(windows, batch_format="pandas")
+    return bucket_groups(
+        ds,
+        "user_id",
+        nb,
+        windows,
+        {
+            "event_id": pa.int64(),
+            "user_id": pa.int64(),
+            "prev_value": pa.float64(),
+            "max3": pa.float64(),
+        },
     )
 
 
@@ -963,13 +944,13 @@ def user_funnel_counts(sf_dir: str):
     first qualifying click.
 
     ONE user-hash shuffle: the map side prunes to the three funnel types
-    and projects (part, user, type_code, ts); every user's rows co-locate,
+    and projects (user, type_code, ts); every user's rows co-locate,
     so the in-bucket scan is three vectorized merge+filter+min passes (no
     per-user Python), and each bucket emits ONE partial-count row — the
     final exchange sums ≤B rows."""
     from ray.data.aggregate import Sum
 
-    from .tabular import n_buckets
+    from .tabular import bucket_groups, n_buckets
 
     ds = read(sf_dir, "events", ["user_id", "event_type", "ts"])
     B = n_buckets(size_bytes=ds.size_bytes())
@@ -982,7 +963,6 @@ def user_funnel_counts(sf_dir: str):
         u = b["user_id"].to_numpy(np.int64)
         return pa.Table.from_pydict(
             {
-                "part": pa.array(u % B, pa.int64()),
                 "user_id": pa.array(u, pa.int64()),
                 "code": pa.array(code, pa.int64()),
                 "ts": pa.array(
@@ -992,32 +972,17 @@ def user_funnel_counts(sf_dir: str):
             }
         )
 
-    def funnel(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return pa.Table.from_pydict(
-                {
-                    "p_view": pa.array([], pa.int64()),
-                    "p_click": pa.array([], pa.int64()),
-                    "p_buy": pa.array([], pa.int64()),
-                }
-            )
+    def funnel(g: pd.DataFrame) -> pd.DataFrame:
         v = g.loc[g["code"] == 0].groupby("user_id")["ts"].min().rename("tv")
         c_all = g.loc[g["code"] == 1].merge(v, on="user_id")
         c = c_all.loc[c_all["ts"] >= c_all["tv"]].groupby("user_id")["ts"].min().rename("tc")
         p_all = g.loc[g["code"] == 2].merge(c, on="user_id")
         p = p_all.loc[p_all["ts"] >= p_all["tc"]].groupby("user_id")["ts"].min()
-        return pa.Table.from_pydict(
-            {
-                "p_view": pa.array([len(v)], pa.int64()),
-                "p_click": pa.array([len(c)], pa.int64()),
-                "p_buy": pa.array([len(p)], pa.int64()),
-            }
-        )
+        return pd.DataFrame({"p_view": [len(v)], "p_click": [len(c)], "p_buy": [len(p)]})
 
+    counts = {"p_view": pa.int64(), "p_click": pa.int64(), "p_buy": pa.int64()}
     row = (
-        ds.map_batches(prep, batch_format="pandas")
-        .groupby("part")
-        .map_groups(funnel, batch_format="pandas")
+        bucket_groups(ds.map_batches(prep, batch_format="pandas"), "user_id", B, funnel, counts)
         .aggregate(  # global fold of ≤B one-row partials → a dict row
             Sum("p_view", alias_name="n_view"),
             Sum("p_click", alias_name="n_view_click"),
@@ -1110,7 +1075,7 @@ def events_rollup(sf_dir: str):
     co-located by (type, day), only by user.)"""
     from ray.data.aggregate import Sum
 
-    from .tabular import from_pandas_clean, n_buckets
+    from .tabular import bucket_groups, from_pandas_clean, n_buckets
 
     ds = read(sf_dir, "events", ["ts", "event_type", "user_id"])
     B = n_buckets(size_bytes=ds.size_bytes())
@@ -1131,21 +1096,10 @@ def events_rollup(sf_dir: str):
             .rename("pn")
             .reset_index()
         )
-        c["part"] = c["user_id"] % B
         return from_pandas_clean(c)
 
-    def rollup_bucket(g: pd.DataFrame) -> pa.Table:
-        # g holds ALL rows of its users; typed Arrow out even when empty
-        # (b725db6 class) so no schema-less RefBundle leaves this stage.
-        if len(g) == 0:
-            return pa.Table.from_pydict(
-                {
-                    "event_type": pa.array([], pa.string()),
-                    "day": pa.array([], pa.string()),
-                    "pe": pa.array([], pa.int64()),
-                    "pu": pa.array([], pa.int64()),
-                }
-            )
+    def rollup_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        # g holds ALL rows of its users
         t = (
             g.groupby(["event_type", "day", "user_id"], sort=False)["pn"]
             .sum()
@@ -1171,16 +1125,8 @@ def events_rollup(sf_dir: str):
                 "pu": [int(t["user_id"].nunique())],
             }
         )
-        out = pd.concat(
+        return pd.concat(
             [lvl2, lvl1[["event_type", "day", "pe", "pu"]], lvl0], ignore_index=True
-        )
-        return pa.Table.from_pydict(
-            {
-                "event_type": pa.array(out["event_type"].astype(str).values, pa.string()),
-                "day": pa.array(out["day"].astype(str).values, pa.string()),
-                "pe": pa.array(out["pe"].to_numpy(np.int64), pa.int64()),
-                "pu": pa.array(out["pu"].to_numpy(np.int64), pa.int64()),
-            }
         )
 
     def final(b: pa.Table) -> pa.Table:
@@ -1193,10 +1139,11 @@ def events_rollup(sf_dir: str):
             }
         )
 
+    levels = {"event_type": pa.string(), "day": pa.string(), "pe": pa.int64(), "pu": pa.int64()}
     return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(rollup_bucket, batch_format="pandas")
+        bucket_groups(
+            ds.map_batches(partial, batch_format="pandas"), "user_id", B, rollup_bucket, levels
+        )
         .groupby(["event_type", "day"])
         .aggregate(Sum("pe", alias_name="n_events"), Sum("pu", alias_name="n_users"))
         .map_batches(final, batch_format="pyarrow")

@@ -315,16 +315,12 @@ def make_seen_pool(
     n_shards: int,
     capacity_per_shard: int = 1 << 16,
     host_budget: int | None = None,
-    num_cpus: float = 0.0,
 ) -> list:
-    """Shard actors reserve no CPU by default (``num_cpus=0``): a
-    fractional reservation quantizes away whole task slots at small cluster
-    sizes. Pass ``num_cpus`` to reserve a share. ``host_budget`` is the
-    per-host fetch budget every shard's ``reserve`` enforces."""
-    return [
-        SeenShard.options(num_cpus=num_cpus).remote(i, capacity_per_shard, host_budget)
-        for i in range(n_shards)
-    ]
+    """Shard actors reserve no CPU (``num_cpus=0``): a fractional
+    reservation quantizes away whole task slots at small cluster sizes.
+    ``host_budget`` is the per-host fetch budget every shard's ``reserve``
+    enforces."""
+    return [SeenShard.remote(i, capacity_per_shard, host_budget) for i in range(n_shards)]
 
 
 class WaveMinStage:

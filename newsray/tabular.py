@@ -1,5 +1,11 @@
 """Shared helpers for the tabular operator suite over the driver's testdata
-star schema (TESTDATA.md). All readers prune columns at the read."""
+star schema (TESTDATA.md). All readers prune columns at the read.
+
+The one hash exchange: `bucket_groups` (one dataset) and its two-sided
+form `bucket_join` tag rows with `key_buckets`, the one key → bucket
+function, and run ONE ``groupby`` on that bucket with a per-bucket pandas
+reduce cast to a declared schema. Range partitions and groupbys on real
+keys stay with their operators."""
 
 from __future__ import annotations
 
@@ -115,14 +121,30 @@ def hash_bucket(tok: str, nb: int) -> int:
 
 
 def key_buckets(cols: list, nb: int) -> pa.Array:
-    """Bucket in ``[0, nb)`` of each row's key: ``key & (nb-1)`` for one
-    integer column; for string keys (several joined with ``\\x1f``)
-    `hash_bucket`, computed once per DISTINCT value via dictionary encoding
-    (pyarrow has no md5 kernel, so the Python loop runs over the dictionary
-    only). A null key lands in bucket 0."""
-    if len(cols) == 1 and pa.types.is_integer(cols[0].type):
-        k = pc.cast(cols[0], pa.int64())
-        return pc.fill_null(pc.bit_wise_and(k, pa.scalar(nb - 1, pa.int64())), 0)
+    """THE key → bucket function of every hash exchange: the bucket in
+    ``[0, nb)`` (``nb`` a power of two, as `n_buckets` gives) of each
+    row's key.
+
+    * one integer column: ``key & (nb-1)``;
+    * several integer columns: the columns folded into one 64-bit value
+      with a multiply-xor mix, then ``& (nb-1)``;
+    * string keys (several joined with ``\\x1f``): `hash_bucket`, computed
+      once per DISTINCT value via dictionary encoding (pyarrow has no md5
+      kernel, so the Python loop runs over the dictionary only).
+
+    A null integer counts as 0; a null string key lands in bucket 0."""
+    mask = nb - 1
+    if all(pa.types.is_integer(c.type) for c in cols):
+        ks = [pc.fill_null(pc.cast(c, pa.int64()), 0) for c in cols]
+        if len(ks) == 1:
+            return pc.bit_wise_and(ks[0], pa.scalar(mask, pa.int64()))
+        h = np.zeros(len(ks[0]), dtype="uint64")
+        for k in ks:
+            h = (h ^ k.to_numpy(zero_copy_only=False).view("uint64")) * np.uint64(
+                0x9E3779B97F4A7C15
+            )
+            h ^= h >> np.uint64(29)
+        return pa.array((h & np.uint64(mask)).astype("int64"), pa.int64())
     s = cols[0] if len(cols) == 1 else pc.binary_join_element_wise(*cols, "\x1f")
     if isinstance(s, pa.ChunkedArray):
         s = s.combine_chunks()
@@ -133,12 +155,59 @@ def key_buckets(cols: list, nb: int) -> pa.Array:
     return pa.array(lut[idx], pa.int64())
 
 
+def _reduce_buckets(tagged: rd.Dataset, frames, reduce, out) -> rd.Dataset:
+    """The exchange step of `bucket_groups` and `bucket_join`: ONE
+    ``groupby("_jb")`` over rows tagged with their `key_buckets` bucket,
+    then ``reduce(*frames(group))`` once per bucket group (Ray never calls
+    it on an empty group), each result cast to ``out``. An empty result is
+    ``out``'s typed empty block, and no block carries pandas metadata."""
+    out = pa.schema(out)
+
+    def bucket(g: pa.Table) -> pa.Table:
+        res = reduce(*frames(g))
+        if len(res) == 0:
+            return out.empty_table()
+        res = pa.Table.from_pandas(res, schema=out, preserve_index=False)
+        return res.replace_schema_metadata(None)
+
+    bucket.__name__ = reduce.__name__  # names the operator in Dataset.stats()
+    return tagged.groupby("_jb").map_groups(bucket, batch_format="pyarrow")
+
+
+def bucket_groups(ds: rd.Dataset, on, nb: int, reduce, out) -> rd.Dataset:
+    """The one bucketed exchange of ONE dataset: each row is tagged with
+    its key's bucket (`key_buckets` over the ``on`` columns), ONE
+    ``groupby(bucket)`` co-locates every key's rows, and ``reduce(frame)``
+    runs once per bucket group on a pandas frame of the rows' own columns.
+
+    * ``on``: key column name(s). A caller whose key is expensive to hash
+      (an md5 hex) may pass one integer column it already computes.
+    * ``reduce(frame)``: returns a DataFrame holding ``out``'s columns.
+    * ``out``: the output schema (``{column: pa type}``); see
+      `_reduce_buckets`.
+
+    A coarse bucket holds MANY keys: ``reduce`` groups by the real key
+    inside the frame (vectorized pandas), so no Ray group is ever one
+    tiny key. Map-side work stays the caller's own ``map_batches``
+    before the call: Ray fuses it with the tag map."""
+    keys = [on] if isinstance(on, str) else list(on)
+
+    def bucket_tag(b: pa.Table) -> pa.Table:
+        return b.append_column("_jb", key_buckets([b[k] for k in keys], nb))
+
+    return _reduce_buckets(
+        ds.map_batches(bucket_tag, batch_format="pyarrow"),
+        lambda g: [g.drop_columns("_jb").to_pandas()],
+        reduce,
+        out,
+    )
+
+
 def bucket_join(left, right, on, nb: int, reduce, out) -> rd.Dataset:
-    """The one bucketed hash join (both sides data-sized, nothing
-    broadcast): each side is tagged with its key's bucket (`key_buckets`)
-    and a side id, null-padded to one shared schema, the two are unioned,
-    ONE ``groupby(bucket)`` co-locates every key's rows, and
-    ``reduce(l, r)`` runs once per bucket group.
+    """The two-sided form of `bucket_groups`, the one bucketed hash join
+    (both sides data-sized, nothing broadcast): each side is tagged with
+    its key's bucket and a side id, null-padded to one shared schema, the
+    two are unioned, and ``reduce(l, r)`` runs once per bucket group.
 
     * ``left``/``right``: ``(Dataset, {column: pa type})`` — the columns
       the side hands to ``reduce``, keys included. Declared, not probed:
@@ -147,16 +216,13 @@ def bucket_join(left, right, on, nb: int, reduce, out) -> rd.Dataset:
     * ``reduce(l, r)``: two pandas frames holding exactly each side's
       declared columns with their real dtypes (an absent side is a typed
       empty frame); returns a DataFrame.
-    * ``out``: the output schema (``{column: pa type}``); each group's
-      result is cast to it, so an empty result is a typed empty block and
-      no block carries pandas metadata.
+    * ``out``: the output schema, as for `bucket_groups`.
 
     Map-side combines (per-batch DISTINCT, count partials) stay the
     caller's own ``map_batches`` before the call: Ray fuses them with the
     tag map."""
     keys = [on] if isinstance(on, str) else list(on)
     sides = [pa.schema(left[1]), pa.schema(right[1])]
-    out = pa.schema(out)
     for k in keys:
         if sides[0].field(k).type != sides[1].field(k).type:
             raise ValueError(f"bucket_join: key {k!r} differs in type between sides")
@@ -180,20 +246,19 @@ def bucket_join(left, right, on, nb: int, reduce, out) -> rd.Dataset:
 
         return join_tag
 
-    def join_bucket(g: pa.Table) -> pa.Table:
-        frames = [
+    def side_frames(g: pa.Table) -> list:
+        return [
             g.filter(pc.equal(g["_side"], i)).select(inner[i]).rename_columns(s.names).to_pandas()
             for i, s in enumerate(sides)
         ]
-        res = pa.Table.from_pandas(reduce(*frames), schema=out, preserve_index=False)
-        return res.replace_schema_metadata(None)
 
-    return (
+    return _reduce_buckets(
         left[0]
         .map_batches(tag(0), batch_format="pyarrow")
-        .union(right[0].map_batches(tag(1), batch_format="pyarrow"))
-        .groupby("_jb")
-        .map_groups(join_bucket, batch_format="pyarrow")
+        .union(right[0].map_batches(tag(1), batch_format="pyarrow")),
+        side_frames,
+        reduce,
+        out,
     )
 
 

@@ -467,7 +467,7 @@ def doc_distinctive_terms(sf_dir: str):
     vectorized local argmax emits ≤1 row per (doc, bucket) — the combiner —
     so the final regroup BY DOC carries ≤buckets rows per doc, not one per
     term occurrence."""
-    from .tabular import bucket_join, from_pandas_clean, n_buckets
+    from .tabular import bucket_groups, bucket_join, n_buckets
 
     ds = read(sf_dir, "documents", ["doc_id", "text"])
     nb = n_buckets(size_bytes=ds.size_bytes())
@@ -503,11 +503,9 @@ def doc_distinctive_terms(sf_dir: str):
         # their sum is the global df
         m = tfs.merge(dfs.groupby("tok", sort=False, as_index=False)["df"].sum(), on="tok")
         m["score"] = m["tf"].astype("float64") / m["df"].astype("float64")
-        m = m.sort_values(
+        return m.sort_values(
             ["doc_id", "score", "tok"], ascending=[True, False, True], kind="mergesort"
         ).drop_duplicates("doc_id")
-        m["part"] = m["doc_id"] % nb  # re-key by DOC for the regroup
-        return m
 
     local_best = bucket_join(
         (
@@ -521,26 +519,24 @@ def doc_distinctive_terms(sf_dir: str):
         "tok",
         nb,
         bucket_best,
-        {
-            "part": pa.int64(),
-            "doc_id": pa.int64(),
-            "tok": pa.string(),
-            "tf": pa.int64(),
-            "df": pa.int64(),
-        },
+        {"doc_id": pa.int64(), "tok": pa.string(), "tf": pa.int64(), "df": pa.int64()},
     )
 
-    def final_best(g: pd.DataFrame) -> pa.Table:
-        g = g.copy()
-        g["score"] = g["tf"].astype("float64") / g["df"].astype("float64")
+    def final_best(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.assign(score=g["tf"].astype("float64") / g["df"].astype("float64"))
         g = g.sort_values(
             ["doc_id", "score", "tok"], ascending=[True, False, True], kind="mergesort"
         ).drop_duplicates("doc_id")
-        return from_pandas_clean(
-            g[["doc_id", "tok", "df", "tf"]].rename(columns={"tok": "top_term"})
-        )
+        return g.rename(columns={"tok": "top_term"})
 
-    return local_best.groupby("part").map_groups(final_best, batch_format="pandas")
+    # re-key by DOC for the regroup
+    return bucket_groups(
+        local_best,
+        "doc_id",
+        nb,
+        final_best,
+        {"doc_id": pa.int64(), "top_term": pa.string(), "df": pa.int64(), "tf": pa.int64()},
+    )
 
 
 NGRAM_N = 8  # decontamination n-gram width
@@ -604,6 +600,8 @@ def split_contamination(sf_dir: str):
     gram hash and the same two-exchange plan holds."""
     from ray.data.aggregate import Sum
 
+    from .tabular import bucket_groups
+
     ds = read(sf_dir, "documents", ["doc_id", "text"])
     nb = contamination_buckets(ds.size_bytes())
 
@@ -624,36 +622,31 @@ def split_contamination(sf_dir: str):
             out_g.extend(grams)
             out_d.extend([d] * len(grams))
             out_s.extend([split] * len(grams))
-        part = [int(x[:8], 16) % nb for x in out_g]  # coarse gram partition
         return pa.Table.from_pydict(
             {
-                "part": pa.array(part, pa.int64()),
+                # the gram's md5 prefix: its exchange key, hashed once here
+                "gk": pa.array([int(x[:8], 16) for x in out_g], pa.int64()),
                 "g": pa.array(out_g, pa.string()),
                 "doc_id": pa.array(out_d, pa.int64()),
                 "split": pa.array(out_s, pa.string()),
             }
         )
 
-    def part_group(g: pd.DataFrame) -> pa.Table:
+    def part_group(g: pd.DataFrame) -> pd.DataFrame:
         # one coarse partition = many grams: vectorized membership, no
         # per-gram Python. Members are DISTINCT (doc, gram) by construction.
-        # Output is a TYPED Arrow block even when empty — an untyped empty
-        # pandas frame makes the operator emit a schema-less RefBundle and
-        # Ray logs a schema-change warning per empty group (b725db6 class).
         train_g = g.loc[g["split"] == "train", "g"]
         hit = g[(g["split"] != "train") & g["g"].isin(set(train_g))]
-        return pa.Table.from_pydict(
-            {
-                "doc_id": pa.array(hit["doc_id"].astype("int64").values, pa.int64()),
-                "split": pa.array(hit["split"].astype(str).values if len(hit) else [], pa.string()),
-                "one": pa.array(np.ones(len(hit), dtype="int64"), pa.int64()),
-            }
-        )
+        return hit.assign(one=1)
 
     return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(part_group, batch_format="pandas")
+        bucket_groups(
+            ds.map_batches(explode, batch_format="pyarrow"),
+            "gk",
+            nb,
+            part_group,
+            {"doc_id": pa.int64(), "split": pa.string(), "one": pa.int64()},
+        )
         .groupby(["doc_id", "split"])
         .aggregate(Sum("one", alias_name="n_shared_grams"))
     )

@@ -295,6 +295,10 @@ def test_n_buckets_scales_with_data_size(ray_session):
         "customers_with_urgent_orders",
         "revenue_by_priority",
         "top10_customers_by_revenue",
+        "last_click_before_purchase",
+        "hourly_user_windows",
+        "events_window_funcs",
+        "user_funnel_counts",
     ],
 )
 def test_bucket_count_invariance(harness, name, monkeypatch):
@@ -422,6 +426,120 @@ def test_bucket_join_matches_pandas_merge(ray_session, kind, nb, reduce, empty):
     want = pa.Table.from_pandas(fn(left, right), schema=pa.schema(out), preserve_index=False)
     got_df = _normalize(pa.concat_tables(blocks).to_pandas())
     pd.testing.assert_frame_equal(got_df, _normalize(want.to_pandas()), check_exact=True)
+
+
+@pytest.mark.parametrize("kind", ["int", "int2", "str"])
+@pytest.mark.parametrize("nb", [4, 64])
+def test_bucket_groups_matches_pandas_groupby(ray_session, kind, nb):
+    """`tabular.bucket_groups` equals one pandas groupby over the whole
+    input, for one int key (negatives and nulls included), two int keys and
+    a string key; nb=64 exceeds the key pool, so many buckets are empty.
+    ``reduce`` sees exactly the input's columns (no bucket column), and
+    every output block carries the declared types and no pandas metadata."""
+    import numpy as np
+    import ray
+    import ray.data
+
+    from newsray.tabular import bucket_groups
+
+    rng = np.random.default_rng(7)
+    n = 300
+    if kind == "int":
+        on, ktype = ["k"], {"k": pa.int64()}
+        keys = {"k": pa.array(rng.integers(-9, 9, n), pa.int64()).to_pylist()}
+        keys["k"][::37] = [None] * len(keys["k"][::37])
+    elif kind == "int2":
+        on, ktype = ["band", "val"], {"band": pa.int64(), "val": pa.int64()}
+        keys = {"band": rng.integers(0, 4, n), "val": rng.integers(0, 5, n)}
+    else:
+        on, ktype = ["k"], {"k": pa.string()}
+        keys = {"k": [f"w{i}" for i in rng.integers(0, 15, n)]}
+    schema = pa.schema({**ktype, "v": pa.int64()})
+    t = pa.table({**keys, "v": rng.integers(0, 100, n)}, schema=schema)
+    out = {**ktype, "n": pa.int64(), "s": pa.int64()}
+
+    def agg(g: pd.DataFrame) -> pd.DataFrame:
+        assert list(g.columns) == schema.names
+        return g.groupby(on, as_index=False, dropna=False).agg(n=("v", "size"), s=("v", "sum"))
+
+    ds = ray.data.from_arrow([t.slice(0, n // 3), t.slice(n // 3)])
+    got = bucket_groups(ds, on, nb, agg, out)
+    blocks = [b for b in ray.get(got.materialize().to_arrow_refs()) if b.num_columns]
+    assert blocks
+    for b in blocks:
+        assert b.schema == pa.schema(out)
+        assert b"pandas" not in (b.schema.metadata or {})
+    want = pa.Table.from_pandas(agg(t.to_pandas()), schema=pa.schema(out), preserve_index=False)
+    got_df = _normalize(pa.concat_tables(blocks).to_pandas())
+    pd.testing.assert_frame_equal(got_df, _normalize(want.to_pandas()), check_exact=True)
+
+
+def test_bucket_groups_all_empty_reduce_is_typed(ray_session):
+    """A reduce that returns nothing for every bucket (here an untyped
+    empty frame) still gives blocks of the declared schema."""
+    import ray
+    import ray.data
+
+    from newsray.tabular import bucket_groups
+
+    ds = ray.data.from_arrow(pa.table({"k": pa.array(range(40), pa.int64())}))
+    out = {"k": pa.int64(), "label": pa.string(), "ts": pa.timestamp("us")}
+    got = bucket_groups(ds, "k", 4, lambda g: pd.DataFrame(), out).materialize()
+    assert got.count() == 0
+    blocks = [b for b in ray.get(got.to_arrow_refs()) if b.num_columns]
+    assert blocks and all(b.schema == pa.schema(out) for b in blocks)
+
+
+MEDIA_AT_CPUS = """
+import sys
+
+import pyarrow as pa
+import ray
+import ray.data
+
+ray.init(address="local", num_cpus=int(sys.argv[1]), include_dashboard=False,
+         logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+from newsray.golden import GOLDENS
+from newsray.multimodal import media_features, video_frame_sample
+
+sf = sys.argv[2]
+for fn in (media_features, video_frame_sample):
+    got = pa.concat_tables(b for b in ray.get(fn(sf).to_arrow_refs()) if b.num_columns)
+    want = GOLDENS[fn.__name__](sf)
+    order = [(c, "ascending") for c in want.column_names]
+    same = got.select(want.column_names).sort_by(order).equals(want.sort_by(order))
+    print(fn.__name__, want.num_rows, same, flush=True)
+ray.shutdown()
+"""
+
+
+@pytest.mark.parametrize("num_cpus", [1, 2])
+def test_media_actor_pools_finish_at_one_and_two_cpus(num_cpus):
+    """The two actor-pool queries finish, equal to their golden recompute,
+    in a session of one or two CPUs: their pools must not hold the CPUs
+    the read feeding them needs (both hung before, at 1 and at 2 CPUs).
+    A fresh process owns the small session; the timeout is the deadline."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sf = os.path.join(os.path.dirname(SF), "sf0.01")
+    r = subprocess.run(
+        [sys.executable, "-c", MEDIA_AT_CPUS, str(num_cpus), sf],
+        capture_output=True,
+        text=True,
+        timeout=240,
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": root},
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    got = [ln.split() for ln in r.stdout.splitlines() if ln.startswith(("media", "video"))]
+    assert [(name, ok) for name, _, ok in got] == [
+        ("media_features", "True"),
+        ("video_frame_sample", "True"),
+    ], r.stdout
 
 
 def test_value_percentiles_selection_nulls_dups_rounds(ray_session, tmp_path, monkeypatch):
