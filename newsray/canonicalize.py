@@ -11,9 +11,12 @@ and partition key — applied identically everywhere.
 
 from __future__ import annotations
 
+import re
 from urllib.parse import urljoin, urlparse, urlunparse, uses_params
 
 _VALID_SCHEMES = ("http", "https")
+# urlparse drops these anywhere in a URL
+_DROPPED = str.maketrans("", "", "\t\r\n")
 
 
 def is_valid_href(href: str | None) -> bool:
@@ -30,8 +33,11 @@ def is_valid_href(href: str | None) -> bool:
 
 
 def absolutize(href: str, base_url: str) -> str:
-    """Relative → absolute; protocol-relative ``//host/p`` → https."""
-    h = href.strip()
+    """Relative → absolute; protocol-relative ``//host/p`` → https. The
+    crawl's one image rule (``extract.finalize_article``). Tab/CR/LF go
+    first, as in ``canonicalize``, so the ``.test./`` rewrite sees the URL
+    that urljoin will see; the result is a fixed point."""
+    h = href.strip().translate(_DROPPED)
     if h.startswith("//"):
         h = "https:" + h
     # aggregator quirk: './articles/x' and 'host./path' dot-forms
@@ -41,14 +47,10 @@ def absolutize(href: str, base_url: str) -> str:
     return urljoin(base_url, h)
 
 
-import re
-
 _FAST_ABS = re.compile(r"^(https?)://([^/?#]+)((?:/[^?#]*)?)(?:[?#].*)?$")
 # root-relative path with no scheme/authority and no dot-segments
 _FAST_REL = re.compile(r"^/(?!/)[^?#]*(?:[?#].*)?$")
 _DOT_SEG = re.compile(r"/\.\.?(?:/|$)")
-# urlparse drops these anywhere in a URL
-_DROPPED = str.maketrans("", "", "\t\r\n")
 
 
 def _finish(scheme: str, host: str, path: str) -> tuple[str, str, str, str]:

@@ -13,9 +13,9 @@ wave persists, under an ATOMIC manifest (write-tmp-then-rename):
   wave's fetch blocks, so a wave holds about one file per
   ``pipeline.POST_BARRIER_ROWS`` rows;
 * ``metrics.json`` — per-wave row counts;
-* wave 0 only, the run's inputs: ``frontier_in.parquet``, the driver-side
-  seed frontier, and ``seen_in.parquet``, the URLs an output bootstrap
-  (``CrawlPipeline.bootstrap_seen``) seeded, if one ran.
+* wave 0 only, the run's one input beyond the seeds: ``seen_in.parquet``,
+  the URLs an output bootstrap (``CrawlPipeline.bootstrap_seen``) seeded,
+  if one ran.
 
 Restore rebuilds every piece of crawl state from the rows, in the shapes
 the live wave uses: the fetch log and the next frontier through the rowkind
@@ -92,20 +92,15 @@ def _num_rows(files: list[str]) -> int:
     return sum(pq.ParquetFile(f).metadata.num_rows for f in files)
 
 
-def write_frontier_in(
-    root: str, wave: int, frontier: pa.Table | None, seen: pa.Table | None = None
-) -> None:
-    """Open a wave's checkpoint directory. Only wave 0 persists its inputs:
-    the driver-side seed frontier (restore never reads it) and the
-    bootstrap-seeded URLs (restore reads them)."""
+def write_frontier_in(root: str, wave: int, seen: pa.Table | None = None) -> None:
+    """Open a wave's checkpoint directory. Only wave 0 persists an input:
+    the URLs an output bootstrap seeded (``seen``), which restore reads."""
     d = _wave_dir(root, wave)
     # a wave dir that exists but is NOT in the manifest is a crashed attempt:
     # clear it so the rerun cannot read duplicated partial files
     if os.path.isdir(d) and wave not in _load_manifest(root).get("completed_waves", []):
         shutil.rmtree(d)
     os.makedirs(d, exist_ok=True)
-    if wave == 0 and frontier is not None:
-        pq.write_table(frontier, os.path.join(d, "frontier_in.parquet"))
     if wave == 0 and seen is not None:
         pq.write_table(seen, os.path.join(d, "seen_in.parquet"))
 

@@ -99,82 +99,6 @@ def parse_cascade(raw: str | None, fmt_names: tuple[str, ...], now: datetime) ->
     return None
 
 
-def _parse_one_series(sub, name: str, now: datetime):
-    """Vector twin of ``parse_one`` over a pandas string Series (NaT where
-    the format does not match). Must stay semantically identical — the
-    equivalence is property-tested against the scalar cascade. Date parts
-    are assembled only for the rows whose partial parse matched: the NaN
-    parts of the others made pandas' unit arithmetic overflow."""
-    import pandas as pd
-
-    if name == "ymd_dot_hms":
-        return pd.to_datetime(sub, format="%Y.%m.%d. %H:%M:%S", errors="coerce")
-    if name == "hm_today":
-        t = pd.to_datetime(sub, format="%H:%M", errors="coerce")
-        t = t[t.notna()]
-        base = pd.Timestamp(now.year, now.month, now.day)
-        return (base + pd.to_timedelta(t.dt.hour * 60 + t.dt.minute, unit="m")).reindex(sub.index)
-    if name == "ymd_dash_hms":
-        return pd.to_datetime(sub, format="%Y-%m-%d %H:%M:%S", errors="coerce")
-    if name == "ymd_dash_hm":
-        return pd.to_datetime(sub, format="%Y-%m-%d %H:%M", errors="coerce")
-    if name == "ymd_dot_hm":
-        return pd.to_datetime(sub, format="%Y.%m.%d %H:%M", errors="coerce")
-    if name == "md_hm_yearinject":
-        t = pd.to_datetime(sub, format="%m-%d %H:%M", errors="coerce")
-        t = t[t.notna()]
-        parts = pd.DataFrame(
-            {
-                "year": now.year,
-                "month": t.dt.month,
-                "day": t.dt.day,
-                "hour": t.dt.hour,
-                "minute": t.dt.minute,
-            },
-            index=t.index,
-        )
-        # Feb 29 → NaT, like scalar
-        return pd.to_datetime(parts, errors="coerce").reindex(sub.index)
-    if name == "korean_ymd":
-        ex = sub.str.extract(_KOREAN_RE).dropna()
-        parts = pd.DataFrame(
-            {"year": ex[0].astype(int), "month": ex[1].astype(int), "day": ex[2].astype(int)},
-            index=ex.index,
-        )
-        return pd.to_datetime(parts, errors="coerce").reindex(sub.index)
-    if name == "iso_z_kst":
-        ok = sub.str.match(_ISO_Z_RE.pattern)  # the scalar path's anchored regex
-        t = pd.to_datetime(
-            sub.where(ok), format="%Y-%m-%dT%H:%M:%SZ", errors="coerce"
-        )
-        return t + pd.Timedelta(hours=9)
-    if name == "pipe_ymd_dash_hm":
-        tail = sub.str.split("|").str[-1].str.strip()
-        return pd.to_datetime(tail, format="%Y-%m-%d %H:%M", errors="coerce")
-    raise KeyError(f"unknown time format {name!r}")
-
-
-def parse_cascade_series(raws: list, fmt_names: tuple[str, ...], now: datetime):
-    """Vectorized first-match-wins cascade over a column of raw timestamp
-    strings: one pandas ``to_datetime`` pass per format over the still-
-    unparsed rows. Returns a datetime64[us] Series (NaT = drop). The hot
-    single-hop finalize stage uses this; the scalar ``parse_cascade`` stays
-    the semantic reference (oracle + two-hop path), with equivalence
-    property-tested in tests/test_functions.py."""
-    import pandas as pd
-
-    s = pd.Series(raws, dtype="object")
-    stripped = s.str.strip()
-    out = pd.Series(pd.NaT, index=s.index, dtype="datetime64[ns]")
-    for name in fmt_names:
-        todo = out.isna() & stripped.notna()
-        if not todo.any():
-            break
-        parsed = _parse_one_series(stripped[todo], name, now)
-        out.loc[todo] = pd.Series(parsed, index=stripped[todo].index)
-    return out.astype("datetime64[us]")
-
-
 def within_last_days(ts: datetime, now: datetime, days: int) -> bool:
     """Recency window (google variant; Google_Crawler.py:101-109): keep ts
     within the last ``days``."""
@@ -185,22 +109,6 @@ _KOR_WEEKDAYS = ("월", "화", "수", "목", "금", "토", "일")
 _ENG_WEEKDAYS = (
     "Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday",
 )
-
-
-def day_group_labels_series(ts, weekday_style: str = "korean"):
-    """Vector twin of ``day_group_label`` over a datetime64 Series."""
-    base = (
-        ts.dt.year.astype(str)
-        + "년 "
-        + ts.dt.month.astype(str).str.zfill(2)
-        + "월 "
-        + ts.dt.day.astype(str).str.zfill(2)
-        + "일 "
-    )
-    wd = ts.dt.weekday
-    if weekday_style == "english":
-        return base + wd.map(lambda i: _ENG_WEEKDAYS[i])
-    return base + wd.map(lambda i: _KOR_WEEKDAYS[i] + "요일")
 
 
 def day_group_label(ts: datetime, weekday_style: str = "korean") -> str:

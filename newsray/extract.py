@@ -7,10 +7,12 @@ faster scale path anyway). The *structure* is what matters: a listing page
 yields DOM-ordered items (href, title, optional time/img/lead), a detail
 page yields (title, time_raw, summary, img).
 
-The scalar builders at the bottom (``build_article``, ``article_spans``) are
-shared verbatim by the Ray pipeline and the sequential oracle, so the
-per-row span-sequence invariant ``(kind, text, media_ref, order)`` holds by
-construction wherever both paths accept the same article.
+The scalar builders at the bottom are shared verbatim by the Ray pipeline
+and the sequential oracle: ``finalize_article`` is the one per-article tail
+for listing items and article pages alike, and ``article_spans`` defines
+the span sequence, so the per-row invariant ``(kind, text, media_ref,
+order)`` holds by construction wherever both paths accept the same
+article.
 """
 
 from __future__ import annotations

@@ -8,11 +8,14 @@ extra executions per wave):
 
     frontier ──groupby(host)→ politeness/budget schedule (actor RPC, 1/host)
              ──repartition→ skew-spread released rows
-             ──map_batches(fetch+parse, fused)→ items/docs  [payload never leaves the stage]
+             ──map_batches(fetch+parse, fused)→ listing items, next pages and
+               two-hop article pages as rows  [payload never leaves the stage]
              ──map_batches(gate + claim + finalize)→ validity/canonicalize/robots,
                greedy URL CLAIM with retraction (cuckoo shards; a lower seq
                overtakes and retracts the earlier claimant — see seen.py),
-               deferred title RECORD (title-seen sites), relevance + finalize
+               deferred title RECORD (title-seen sites), then the one
+               finalize over listing items and article pages alike:
+               relevance, hop, ``extract.finalize_article``, recency
                → docs + next-frontier rows
              ──materialize── barrier: title contention resolved, retracted
                seqs dropped from every view by one broadcast filter
@@ -76,10 +79,13 @@ from .sites import SITE_RANK, SITES
 from .synth import WebParams
 from .textfns import KeywordMatcher, fuzzy_is_dup, html_to_text, normalize_for_fuzzy
 
-# unified wave-output schema (the fused fetch+parse stage emits all rowkinds)
+# unified wave-row schema: every rowkind of a wave's stages
 WAVE_SCHEMA = pa.schema(
     [
-        # 'cand' | 'next' | 'doc' | 'frontier' | 'flog' | 'useen' | 'tseen'
+        # 'flog' | 'next' | 'doc' | 'frontier' | 'useen' | 'tseen', and the
+        # transient 'cand' (listing item) and 'detail' (two-hop article
+        # page), which relevance_finalize consumes inside the wave's fused
+        # task: neither reaches a materialized wave or a checkpoint
         ("rowkind", pa.string()),
         ("site", pa.string()),
         ("category", pa.string()),
@@ -173,12 +179,6 @@ FETCH_LOG_SCHEMA = pa.schema(
 
 _ENGINES: dict = {}
 
-# vector twins of textfns.html_to_text's regexes (summary cleanup)
-import re as _re
-
-_BR_PAT = _re.compile(r"<br\s*/?>", _re.IGNORECASE)
-_TAG_PAT = _re.compile(r"<[^>]+>")
-
 
 class _Engine:
     def __init__(self, web_params: WebParams, policy: CrawlPolicy):
@@ -203,8 +203,25 @@ def get_engine(web_params: WebParams, policy: CrawlPolicy) -> _Engine:
     return eng
 
 
-def _empty_wave_dict() -> dict[str, list]:
-    return {name: [] for name in WAVE_SCHEMA.names}
+def wave_rows(kind: str, cols: dict) -> pa.Table:
+    """A WAVE_SCHEMA table of ``kind`` rows: ``cols`` maps column names to
+    equal-length lists or Arrow arrays; every other column is null."""
+    n = len(next(iter(cols.values())))
+    arrays = []
+    for f in WAVE_SCHEMA:
+        v = [kind] * n if f.name == "rowkind" else cols.get(f.name)
+        if v is None:
+            v = pa.nulls(n, f.type)
+        elif not isinstance(v, (pa.Array, pa.ChunkedArray)):
+            v = pa.array(v, f.type)
+        arrays.append(v)
+    return pa.Table.from_arrays(arrays, schema=WAVE_SCHEMA)
+
+
+def _append(cols: dict, *vals) -> None:
+    """Append one row's ``vals`` to ``cols``' lists, in their key order."""
+    for col, v in zip(cols.values(), vals):
+        col.append(v)
 
 
 # ---------------------------------------------------------------------------
@@ -215,155 +232,66 @@ def _empty_wave_dict() -> dict[str, list]:
 def fetch_parse(batch: pa.Table, web_params: WebParams, policy: CrawlPolicy) -> pa.Table:
     """Fused fetch + parse over released frontier rows. The page payload is
     generated (in production: HTTP-fetched by a session held in worker
-    state), parsed, and DROPPED inside this one stage — item/doc metadata is
-    all that flows on. Two-hop article pages are finalized here (post-fetch
-    relevance on title+summary, time-parse drop, recency window).
-
-    Hot path: per-rowkind columnar builders (appending only the fields a
-    rowkind uses, null columns added once at assembly) — ~2× the naive
-    21-column-per-row emit loop."""
+    state), parsed, and DROPPED inside this one stage — row metadata is
+    all that flows on: a ``flog`` row per fetch, a ``cand`` row per listing
+    item, a ``next`` row for a listing's next page, and a ``detail`` row per
+    two-hop article page (the listing's title first, the page's time or
+    else the listing's, the page's image, its summary in ``lead``).
+    Relevance and finalize happen once, in ``relevance_finalize``."""
     eng = get_engine(web_params, policy)
-    names = WAVE_SCHEMA.names
-
-    # flog builder (6 live cols)
-    f_site, f_canon, f_host, f_seq, f_rel = [], [], [], [], []
-    # cand builder (11 live cols)
-    c_site, c_cat, c_seed, c_page, c_seq = [], [], [], [], []
-    c_href, c_title, c_traw, c_img, c_lead, c_base = [], [], [], [], [], []
-    # next-page + two-hop doc rows are rare → generic dict rows
-    misc_rows: list[dict] = []
+    flog = {c: [] for c in ("site", "canon_url", "host", "discovered_seq", "released_at_virtual")}
+    cand = {
+        c: []
+        for c in (
+            "site", "category", "seed_rank", "page_no", "discovered_seq", "href",
+            "title", "time_raw", "img", "lead", "base_url",
+        )
+    }
+    nxt = {c: [] for c in ("site", "category", "seed_rank", "page_no", "discovered_seq", "canon_url", "host")}
+    detail = {c: [] for c in ("site", "discovered_seq", "canon_url", "title", "time_raw", "img", "lead")}
 
     for row in batch.to_pylist():
         cfg = SITES[row["site"]]
-        f_site.append(cfg.site)
-        f_canon.append(row["canon_url"])
-        f_host.append(row["host"])
-        f_seq.append(row["discovered_seq"])
-        f_rel.append(row.get("released_at_virtual"))
+        site = cfg.site
+        _append(
+            flog, site, row["canon_url"], row["host"], row["discovered_seq"],
+            row.get("released_at_virtual"),
+        )
         status, enc, payload = eng.web.fetch(row["canon_url"])
         if status != 200:
             continue
         html = decode_payload(payload, enc)
         if row["kind"] == "listing":
             items = parse_listing_for(cfg, html)
-            cap = effective_page_cap(cfg, row["category"])
-            if items and row["page_no"] + 1 <= cap:
-                nxt = row["page_no"] + 1
-                nxt_url = f"https://{cfg.host}/sec/{row['category']}{row['seed_rank']}/p{nxt}"
+            cat, seed, page = row["category"], row["seed_rank"], row["page_no"]
+            if items and page + 1 <= effective_page_cap(cfg, cat):
+                nxt_url = f"https://{cfg.host}/sec/{cat}{seed}/p{page + 1}"
                 canon, h = canonicalize(nxt_url, nxt_url)
-                misc_rows.append(
-                    {
-                        "rowkind": "next",
-                        "site": cfg.site,
-                        "category": row["category"],
-                        "seed_rank": row["seed_rank"],
-                        "page_no": nxt,
-                        "discovered_seq": make_seq(
-                            SITE_RANK[cfg.site], 0, row["seed_rank"], nxt, 0
-                        ),
-                        "canon_url": canon,
-                        "host": h,
-                    }
-                )
-            site, cat, seed, page = cfg.site, row["category"], row["seed_rank"], row["page_no"]
+                seq = make_seq(SITE_RANK[site], 0, seed, page + 1, 0)
+                _append(nxt, site, cat, seed, page + 1, seq, canon, h)
             base = row["canon_url"]
             seq0 = make_seq(SITE_RANK[site], 1, seed, page, 0)
             for item in items:
-                c_site.append(site)
-                c_cat.append(cat)
-                c_seed.append(seed)
-                c_page.append(page)
-                c_seq.append(seq0 + item.dom_idx)
-                c_href.append(item.href)
-                c_title.append(item.title)
-                c_traw.append(item.time_raw)
-                c_img.append(item.img)
-                c_lead.append(item.lead)
-                c_base.append(base)
+                _append(
+                    cand, site, cat, seed, page, seq0 + item.dom_idx, item.href,
+                    item.title, item.time_raw, item.img, item.lead, base,
+                )
         else:  # two-hop article detail page
-            detail = parse_article_for(cfg, html)
-            title = row["title"] or detail["title"]
-            if cfg.match_target == "title+summary":
-                target = title
-                if detail["summary"]:
-                    target = title + " " + html_to_text(detail["summary"])
-                if not eng.matchers[cfg.site].relevant(target):
-                    continue
-            traw = detail["time_raw"]
+            art = parse_article_for(cfg, html)
+            traw = art["time_raw"]
             if traw is None:  # time only on the listing (e.g. Daum)
                 traw = row.get("time_raw")
-            rec = finalize_article(
-                cfg,
-                row["canon_url"],
-                title,
-                traw,
-                detail["summary"],
-                detail["img"],
-                row["discovered_seq"],
-                policy.now,
+            _append(
+                detail, site, row["discovered_seq"], row["canon_url"],
+                row["title"] or art["title"], traw, art["img"], art["summary"],
             )
-            if rec is None:
-                continue
-            if cfg.recency_days is not None and not within_last_days(
-                rec["time"], policy.now, cfg.recency_days
-            ):
-                continue
-            rec["rowkind"] = "doc"
-            misc_rows.append(rec)
 
-    def _assemble(n: int, live: dict) -> pa.Table:
-        cols = {}
-        for name, typ in zip(names, WAVE_SCHEMA.types):
-            if name in live:
-                cols[name] = pa.array(live[name], typ)
-            else:
-                cols[name] = pa.nulls(n, typ)
-        return pa.Table.from_pydict(cols, schema=WAVE_SCHEMA)
-
-    parts = []
-    if f_site:
-        parts.append(
-            _assemble(
-                len(f_site),
-                {
-                    "rowkind": ["flog"] * len(f_site),
-                    "site": f_site,
-                    "canon_url": f_canon,
-                    "host": f_host,
-                    "discovered_seq": f_seq,
-                    "released_at_virtual": f_rel,
-                },
-            )
-        )
-    if c_site:
-        parts.append(
-            _assemble(
-                len(c_site),
-                {
-                    "rowkind": ["cand"] * len(c_site),
-                    "site": c_site,
-                    "category": c_cat,
-                    "seed_rank": c_seed,
-                    "page_no": c_page,
-                    "discovered_seq": c_seq,
-                    "href": c_href,
-                    "title": c_title,
-                    "time_raw": c_traw,
-                    "img": c_img,
-                    "lead": c_lead,
-                    "base_url": c_base,
-                },
-            )
-        )
-    if misc_rows:
-        out = _empty_wave_dict()
-        for r in misc_rows:
-            for name in names:
-                out[name].append(r.get(name))
-        parts.append(pa.Table.from_pydict(out, schema=WAVE_SCHEMA))
-    if not parts:
-        return pa.Table.from_pydict(_empty_wave_dict(), schema=WAVE_SCHEMA)
-    return pa.concat_tables(parts)
+    return pa.concat_tables(
+        [
+            wave_rows(kind, cols)
+            for kind, cols in (("flog", flog), ("cand", cand), ("next", nxt), ("detail", detail))
+        ]
+    )
 
 
 def cand_gate(batch: pa.Table, policy: CrawlPolicy) -> pa.Table:
@@ -388,130 +316,58 @@ def cand_gate(batch: pa.Table, policy: CrawlPolicy) -> pa.Table:
     return batch.filter(pa.array(keep, pa.bool_()))
 
 
+# the columns relevance_finalize reads per row
+_FINALIZE_IN = ["rowkind", "site", "discovered_seq", "canon_url", "title", "time_raw", "img", "lead"]
+
+
 def relevance_finalize(
     batch: pa.Table, web_params: WebParams, policy: CrawlPolicy
 ) -> pa.Table:
-    """Pre-fetch keyword relevance (title / title+lead targets), then:
-    single-hop survivors are finalized into doc rows; two-hop survivors
-    become next-wave frontier rows (rowkind='frontier').
+    """The wave's one finalize, the oracle's per-row tail over claimed
+    listing items (``cand``) and two-hop article pages (``detail``):
 
-    Fully columnar: relevance runs per site sub-batch
-    (KeywordMatcher.relevant_batch), and the finalize tail — the timestamp
-    cascade, recency window, image absolutization, summary cleanup and
-    day-group labels — runs VECTORIZED per site over pandas/pyarrow columns
-    (datefns.parse_cascade_series etc.). The scalar ``finalize_article``
-    stays the semantic reference (oracle + two-hop path); the vector twins
-    are property-tested equivalent in tests/test_functions.py."""
-    from .canonicalize import absolutize
-    from .datefns import day_group_labels_series, parse_cascade_series
-
+    1. keyword relevance, checked once per article: on its ``cand`` row for
+       title and title+lead sites, on its ``detail`` row (title plus page
+       summary) for title+summary sites;
+    2. a two-hop ``cand`` becomes a next-wave ``frontier`` row;
+    3. every other row goes through ``extract.finalize_article`` (time
+       cascade, image, summary, day label) and ``within_last_days`` and
+       leaves as a ``doc`` row."""
     eng = get_engine(web_params, policy)
-    n = batch.num_rows
-    if n == 0:
-        return pa.Table.from_pydict(_empty_wave_dict(), schema=WAVE_SCHEMA)
-    sites = batch["site"].to_pylist()
-    titles = batch["title"].to_pylist()
-    leads = batch["lead"].to_pylist()
-    # 1) vectorized relevance per site group
-    by_site: dict[str, list[int]] = {}
-    for i, s in enumerate(sites):
-        by_site.setdefault(s, []).append(i)
-    keep = [True] * n
-    for site, idxs in by_site.items():
-        cfg = SITES[site]
-        if cfg.match_target not in ("title", "title+lead"):
-            continue  # title+summary sites check post-fetch (in fetch_parse)
-        targets = []
-        for i in idxs:
-            t = titles[i] or ""
-            if cfg.match_target == "title+lead" and leads[i]:
-                t = t + " " + html_to_text(leads[i])
-            targets.append(t)
-        for i, ok in zip(idxs, eng.matchers[site].relevant_batch(targets)):
-            keep[i] = ok
-    kept = batch.filter(pa.array(keep, pa.bool_()))
-
-    parts: list[pa.Table] = []
-    # 2a) two-hop survivors → next-wave frontier rows (column swap only)
-    is_hop = pa.array(
-        [SITES[s].detail_hop for s in kept["site"].to_pylist()], pa.bool_()
-    )
-    hop = kept.filter(is_hop)
-    if hop.num_rows:
-        hop = hop.set_column(
-            hop.column_names.index("rowkind"),
-            "rowkind",
-            pa.array(["frontier"] * hop.num_rows),
-        )
-        parts.append(hop.select(WAVE_SCHEMA.names))
-
-    # 2b) single-hop survivors → vector finalize per site
-    fin = kept.filter(pc.invert(is_hop))
-    for site in sorted(set(fin["site"].to_pylist())):
-        cfg = SITES[site]
-        sub = fin.filter(pc.equal(fin["site"], site))
-        ts = parse_cascade_series(sub["time_raw"].to_pylist(), cfg.time_formats, policy.now)
-        ok = ts.notna()
-        if cfg.recency_days is not None:
-            import pandas as pd
-
-            now = pd.Timestamp(policy.now)
-            ok &= (now - ts) <= pd.Timedelta(days=cfg.recency_days)
-            ok &= ts <= now + pd.Timedelta(days=1)
-        mask = pa.array(ok.to_numpy(), pa.bool_())
-        sub = sub.filter(mask)
-        if sub.num_rows == 0:
+    now = policy.now
+    hop: list[int] = []
+    docs: list[dict] = []
+    for i, r in enumerate(batch.select(_FINALIZE_IN).to_pylist()):
+        cfg = SITES[r["site"]]
+        is_cand = r["rowkind"] == "cand"
+        # title+summary sites check the article page, the others the item
+        if is_cand != (cfg.match_target == "title+summary"):
+            target = r["title"]
+            if cfg.match_target != "title" and r["lead"]:
+                target = target + " " + html_to_text(r["lead"])
+            if not eng.matchers[cfg.site].relevant(target):
+                continue
+        if is_cand and cfg.detail_hop:
+            hop.append(i)
             continue
-        ts = ts[ok.to_numpy()].reset_index(drop=True)
-        base = f"https://{cfg.host}/"
-        # strip BEFORE the fast-path test so an absolute URL with stray
-        # whitespace is byte-identical to absolutize()'s output (ADVICE r2)
-        img_abs = [
-            "" if not v else (
-                v.strip()
-                if v.strip().startswith("https://") and ".test./" not in v
-                else absolutize(v, base)
-            )
-            for v in sub["img"].to_pylist()
+        rec = finalize_article(
+            cfg, r["canon_url"], r["title"], r["time_raw"], r["lead"], r["img"],
+            r["discovered_seq"], now,
+        )
+        if rec is None:
+            continue
+        if cfg.recency_days is not None and not within_last_days(
+            rec["time"], now, cfg.recency_days
+        ):
+            continue
+        docs.append(rec)
+    fr = batch.take(pa.array(hop, pa.int64()))
+    return pa.concat_tables(
+        [
+            wave_rows("frontier", {c: fr[c] for c in FRONTIER_COLS if c != "kind"}),
+            wave_rows("doc", {c: [d[c] for d in docs] for c in ARTICLE_COLS}),
         ]
-        if cfg.has_summary:
-            import pandas as pd
-
-            lead_s = pd.Series(sub["lead"].to_pylist(), dtype="object")
-            cleaned = (
-                lead_s.str.replace(_BR_PAT, "\n", regex=True)
-                .str.replace(_TAG_PAT, "", regex=True)
-                .str.strip()
-            )
-            summ = cleaned.where(lead_s.notna() & (lead_s != ""), None).tolist()
-        else:
-            summ = [None] * sub.num_rows
-        labels = day_group_labels_series(ts, cfg.weekday_style).tolist()
-        m = sub.num_rows
-        live = {
-            "rowkind": ["doc"] * m,
-            "site": [site] * m,
-            "title": sub["title"].to_pylist(),
-            "time": pa.Array.from_pandas(ts, type=pa.timestamp("us")),
-            "img": img_abs,
-            "url": sub["canon_url"].to_pylist(),
-            "original_url": sub["canon_url"].to_pylist(),
-            "summary": summ,
-            "date_group": labels,
-            "discovered_seq": sub["discovered_seq"],
-        }
-        cols = {}
-        for name, typ in zip(WAVE_SCHEMA.names, WAVE_SCHEMA.types):
-            if name in live:
-                v = live[name]
-                cols[name] = v if isinstance(v, (pa.Array, pa.ChunkedArray)) else pa.array(v, typ)
-            else:
-                cols[name] = pa.nulls(m, typ)
-        parts.append(pa.Table.from_pydict(cols, schema=WAVE_SCHEMA))
-
-    if not parts:
-        return pa.Table.from_pydict(_empty_wave_dict(), schema=WAVE_SCHEMA)
-    return pa.concat_tables(parts)
+    )
 
 
 def make_stripe(k: int):
@@ -565,19 +421,6 @@ def to_frontier(b: pa.Table, drop: pa.Array | None = None) -> pa.Table:
         pc.equal(b["rowkind"], "next"), pa.scalar("listing"), pa.scalar("article")
     )
     return b.append_column("kind", kind).select(FRONTIER_COLS).cast(FRONTIER_SCHEMA)
-
-
-def seen_rows(kind: str, b: pa.Table, key_col: str) -> pa.Table:
-    """A wave's record of the seen-set claims it made: one ``kind`` row
-    ('useen' / 'tseen') per accepted claim, holding site, the key column
-    and discovered_seq, every other column null."""
-    n = b.num_rows
-    live = {"rowkind": pa.array([kind] * n, pa.string())}
-    live.update((c, b[c]) for c in ("site", key_col, "discovered_seq"))
-    return pa.Table.from_pydict(
-        {f.name: live.get(f.name, pa.nulls(n, f.type)) for f in WAVE_SCHEMA},
-        schema=WAVE_SCHEMA,
-    )
 
 
 def checkpoint_rows(b: pa.Table, drop: pa.Array | None = None) -> pa.Table:
@@ -733,7 +576,7 @@ class CrawlPipeline:
         shuffles: schedule (groupby host — the one unavoidable exchange,
         one politeness/budget RPC per host) → repartition (skew-spread) →
         fused fetch+parse → candidate gate → greedy URL CLAIM → deferred
-        title RECORD → vectorized relevance + finalize, materialized.
+        title RECORD → the one relevance + finalize, materialized.
 
         Within-wave exact URL dedup (min-discovered_seq wins) is the
         shards' greedy claim-with-retraction (seen.py claim_insert):
@@ -800,15 +643,16 @@ class CrawlPipeline:
                 {
                     "pages_fetched": b.num_rows,
                     "items_parsed": int(pc.sum(pc.equal(kinds, "cand")).as_py() or 0),
-                    "docs_emitted": int(pc.sum(pc.equal(kinds, "doc")).as_py() or 0),
                     "next_rows": int(pc.sum(pc.equal(kinds, "next")).as_py() or 0),
                 },
             )
             return out
 
         def gate_claim_finalize(b: pa.Table) -> pa.Table:
-            is_cand = pc.equal(b["rowkind"], "cand")
-            others = b.filter(pc.invert(is_cand))
+            kinds = b["rowkind"]
+            is_cand = pc.equal(kinds, "cand")
+            is_detail = pc.equal(kinds, "detail")
+            others = b.filter(pc.invert(pc.or_(is_cand, is_detail)))
             cands = cand_gate(b.filter(is_cand), policy)
             n_admitted = cands.num_rows
             cands = url_wave.claim(cands)  # greedy URL dedup w/ retraction
@@ -817,10 +661,14 @@ class CrawlPipeline:
             if t_rows.num_rows:
                 t_rows = title_wave.record(t_rows)  # deferred contention
             # the claims this batch made, as rows: the checkpoint's seen set
-            claimed = [seen_rows("useen", cands, "canon_url"), seen_rows("tseen", t_rows, "title")]
+            claimed = [
+                wave_rows(kind, {c: t[c] for c in ("site", key, "discovered_seq")})
+                for kind, t, key in (("useen", cands, "canon_url"), ("tseen", t_rows, "title"))
+            ]
+            # the claimed listing items and this batch's article pages (their
+            # URLs were claimed as listing items a wave earlier) finalize as one
             merged = pa.concat_tables(
-                [t_rows.select(WAVE_SCHEMA.names),
-                 cands.filter(pc.invert(is_t)).select(WAVE_SCHEMA.names)]
+                [t_rows, cands.filter(pc.invert(is_t)), b.filter(is_detail)]
             )
             fin = relevance_finalize(merged, wp, policy)
             # fire-and-forget, same rationale as fetch_parse_m
@@ -836,9 +684,7 @@ class CrawlPipeline:
                     ),
                 },
             )
-            return pa.concat_tables(
-                [others.select(WAVE_SCHEMA.names), *claimed, fin.select(WAVE_SCHEMA.names)]
-            )
+            return pa.concat_tables([others, *claimed, fin])
 
         parsed = (
             frontier
@@ -908,7 +754,7 @@ class CrawlPipeline:
 
     # -- full run -------------------------------------------------------------
 
-    def run(self, frontier: pa.Table | None = None) -> dict:
+    def run(self) -> dict:
         """The wave loop, then finalize. With ``checkpoint_dir`` set, a
         re-submitted job RESUMES from the checkpoint's last completed wave
         (at any shard counts), and every wave it runs is checkpointed; an
@@ -917,7 +763,7 @@ class CrawlPipeline:
         from . import checkpoint as ckpt
 
         cfg = self.cfg
-        if cfg.checkpoint_dir and not self._restored and frontier is None:
+        if cfg.checkpoint_dir and not self._restored:
             # restore() returns False for an EMPTY checkpoint dir (a fresh
             # run that will start checkpointing forward) — that must not
             # swallow a configured bootstrap, so track "state actually
@@ -936,18 +782,13 @@ class CrawlPipeline:
             and self._bootstrapped is None
         ):
             self.bootstrap_seen(cfg.bootstrap_output_dir)
-        if frontier is None:
-            frontier = self._frontier0 if self._frontier0 is not None else self.seed_frontier()
-        seed = frontier if isinstance(frontier, pa.Table) else None
-        if seed is not None:
-            n_frontier = seed.num_rows
-            frontier = ray.data.from_arrow(seed)
-        else:
-            n_frontier = frontier.count()
+        seed = self._frontier0 if self._frontier0 is not None else self.seed_frontier()
+        n_frontier = seed.num_rows
+        frontier = ray.data.from_arrow(seed)
         wave = self.start_wave
         while n_frontier > 0 and wave < cfg.policy.max_waves:
             if cfg.checkpoint_dir:
-                ckpt.write_frontier_in(cfg.checkpoint_dir, wave, seed, self._bootstrapped)
+                ckpt.write_frontier_in(cfg.checkpoint_dir, wave, self._bootstrapped)
             nxt, flog, rows, n_retracted = self.run_wave(wave, frontier, n_est=n_frontier)
             self.fetch_logs.append(flog)
             totals = ray.get(self.metrics.wave_totals.remote(wave))

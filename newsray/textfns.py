@@ -137,15 +137,6 @@ class KeywordMatcher:
             return self._exc_any is None or self._exc_any.search(low) is None
         return self.include_count(text) >= self.threshold and not self.has_exclude(text)
 
-    def relevant_batch(self, texts: list[str]) -> list[bool]:
-        """Batch form of ``relevant``. Measured: CPython's C-level substring
-        scan (``k in s`` over short titles) beats a per-keyword
-        pyarrow ``match_substring`` column kernel by ~4× at this keyword
-        count, so the batch path is the scalar loop; the batch API exists so
-        stages stay shape-stable if a true multi-pattern automaton
-        (Aho-Corasick) lands later."""
-        return [self.relevant(t) for t in texts]
-
 
 def normalize_for_fuzzy(title: str) -> str:
     """Lowercase + strip ALL whitespace (the normalization the reference's

@@ -91,9 +91,7 @@ def test_wave_checkpoint_layout(ray_session):
         for w in waves:
             d = os.path.join(root, f"wave_{w:03d}")
             # one rows dataset per wave is the only per-wave state
-            assert set(os.listdir(d)) == {"rows", "metrics.json"} | (
-                {"frontier_in.parquet"} if w == 0 else set()
-            ), (w, os.listdir(d))
+            assert set(os.listdir(d)) == {"rows", "metrics.json"}, (w, os.listdir(d))
             files = ckpt._rows_files(root, w)
             assert manifest["wave_rows"][str(w)] == ckpt._num_rows(files) > 0
             kinds |= set(pq.read_table(files, columns=["rowkind"])["rowkind"].to_pylist())
@@ -111,17 +109,17 @@ def test_crashed_wave_attempt_cleared_on_rerun(tmp_path):
     from newsray import checkpoint as ckpt
 
     root = str(tmp_path)
-    frontier = pa.table({"canon_url": ["http://a.test/x"]})
+    seen = pa.table({"site": ["nate"], "canon_url": ["http://a.test/x"]})
     for w in (0, 3):
         d = os.path.join(root, f"wave_{w:03d}")
         leftover = os.path.join(d, "rows")
         os.makedirs(leftover)
         with open(os.path.join(leftover, "partial-uuid.parquet"), "w") as f:
             f.write("garbage from a crashed attempt")
-        ckpt.write_frontier_in(root, w, frontier)
-        # the crashed attempt is gone; only wave 0 persists its frontier
+        ckpt.write_frontier_in(root, w, seen)
+        # the crashed attempt is gone; only wave 0 persists bootstrap URLs
         assert not os.path.exists(leftover)
-        assert os.listdir(d) == (["frontier_in.parquet"] if w == 0 else [])
+        assert os.listdir(d) == (["seen_in.parquet"] if w == 0 else [])
 
     # but a wave recorded complete in the manifest is NEVER cleared
     ckpt._atomic_json(
@@ -133,7 +131,7 @@ def test_crashed_wave_attempt_cleared_on_rerun(tmp_path):
     keep = os.path.join(d4, "metrics.json")
     with open(keep, "w") as f:
         f.write("{}")
-    ckpt.write_frontier_in(root, 4, frontier)
+    ckpt.write_frontier_in(root, 4, seen)
     assert os.path.exists(keep)
 
 
