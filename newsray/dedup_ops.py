@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .registry import register
-from .tabular import read
+from .tabular import read, token_windows
 
 DOC_ID = {"doc_id": pa.int64()}
 PAIR = {"doc_a": pa.int64(), "doc_b": pa.int64()}
@@ -116,6 +116,24 @@ def _minhash(sh: set[int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.min(vals, axis=1).astype(np.int64)
 
 
+def _shingle_rows(texts) -> tuple[np.ndarray, np.ndarray]:
+    """`_shingles` of every row of a string column at once: the row and
+    blake2b>>33 hash of each 3-token window of the token-window kernel
+    (duplicates kept), hashed from the column's own bytes."""
+    w = token_windows(texts, 3)
+    digests = b"".join(hashlib.blake2b(s, digest_size=8).digest() for s in w.slices())
+    return w.row, (np.frombuffer(digests, "<u8") >> np.uint64(33)).astype(np.int64)
+
+
+def _shingle_lists(texts) -> pa.ListArray:
+    """Each row's ``sorted(_shingles(text))``, as one list<int64> column."""
+    row, sh = _shingle_rows(texts)
+    key = np.unique(row << 31 | sh)  # shingles are 31-bit: sorted by (row, shingle)
+    off = np.zeros(len(texts) + 1, np.int32)
+    np.cumsum(np.bincount(key >> 31, minlength=len(texts)), out=off[1:])
+    return pa.ListArray.from_arrays(pa.array(off), pa.array(key & _MERSENNE, pa.int64()))
+
+
 def _jaccard_pairs_df(ids: np.ndarray, shs: list[set[int]], thresh: float) -> pd.DataFrame:
     """Vectorized all-pairs Jaccard within a candidate bucket: doc×shingle
     incidence matmul for intersections (no Python pair loop — buckets can be
@@ -197,13 +215,16 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
     """MinHash+LSH near-dup pairs over ANY (doc_id, text) Dataset, fully
     shuffled-not-broadcast (no O(corpus) object is ever ray.put):
 
-    1. per-batch shingle/minhash, explode to (band, band_hash, doc) rows —
-       signatures only, text never rides this shuffle;
+    1. per batch, the 3-token windows of `tabular.token_windows` hashed
+       from the column's bytes, one min per row and permutation, then
+       (band_hash, doc) rows — signatures only, text never rides this
+       shuffle;
     2. ONE groupby co-locates candidate buckets → raw candidate PAIRS;
     3. the pair members RE-JOIN the input by doc_id (bucketed hash join)
        to pick up their texts;
     4. pairs co-locate by pair key; exact Jaccard verifies each pair
-       (shingles computed once per distinct doc inside the bucket).
+       (shingles computed once per distinct doc inside the bucket, by the
+       same window kernel).
 
     Returns verified pairs (doc_a < doc_b, jaccard ≥ 0.5). Shared by
     `dedup_minhash_lsh` (whole corpus) and `cleanse.corpus_clean` (the
@@ -216,15 +237,22 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
     B = n_buckets(size_bytes=size_bytes)
 
     def bands(batch: pa.Table) -> pa.Table:
-        out = {"band_hash": [], "doc_id": []}
-        for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-            mh = _minhash(_shingles(text), a, b)
-            for band in range(N_BANDS):
-                chunk = mh[band * ROWS_PER_BAND : (band + 1) * ROWS_PER_BAND]
-                bh = f"{band}:" + hashlib.blake2b(chunk.tobytes(), digest_size=8).hexdigest()
-                out["band_hash"].append(bh)
-                out["doc_id"].append(doc_id)
-        return pa.Table.from_pydict(out)
+        n = batch.num_rows
+        row, sh = _shingle_rows(batch["text"])
+        first = np.searchsorted(row, np.arange(n))  # every row has a window
+        mh = np.empty((n, N_PERM), np.int64)
+        for i in range(N_PERM):  # `_minhash`: min over the row's shingles
+            mh[:, i] = np.minimum.reduceat((a[i] * sh + b[i]) % _MERSENNE, first)
+        bh = [
+            f"{i % N_BANDS}:" + hashlib.blake2b(c.tobytes(), digest_size=8).hexdigest()
+            for i, c in enumerate(mh.reshape(-1, ROWS_PER_BAND))
+        ]
+        return pa.table(
+            {
+                "band_hash": pa.array(bh, pa.string()),
+                "doc_id": batch["doc_id"].take(np.repeat(np.arange(n), N_BANDS)),
+            }
+        )
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         """One coarse partition = many LSH buckets: sub-group in pandas and
@@ -276,27 +304,21 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
 
     # -- co-locate by pair, verify with exact Jaccard -----------------------
     def verify_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        cache: dict[int, set[int]] = {}
-
-        def sh(doc: int, text: str) -> set[int]:
-            s = cache.get(doc)
-            if s is None:
-                s = _shingles(text)
-                cache[doc] = s
-            return s
-
+        # shingles once per distinct member doc of this bucket
+        d = g.drop_duplicates("doc_id").dropna(subset=["text"])
+        shs = _shingle_lists(pa.array(d["text"], pa.string())).to_pylist()
+        shs = dict(zip(d["doc_id"].tolist(), map(set, shs)))
+        pairs = g[["doc_a", "doc_b"]].drop_duplicates().sort_values(["doc_a", "doc_b"])
         rows_a, rows_b, rows_j = [], [], []
-        for (da, db), sub in g.groupby(["doc_a", "doc_b"], sort=True):
-            sub = sub.drop_duplicates("doc_id")
-            if len(sub) != 2:
+        for da, db in zip(pairs["doc_a"].tolist(), pairs["doc_b"].tolist()):
+            if da not in shs or db not in shs:
                 continue  # partial pair (member text missing) — impossible here
-            texts = dict(zip(sub["doc_id"], sub["text"]))
-            sa, sb = sh(int(da), texts[da]), sh(int(db), texts[db])
+            sa, sb = shs[da], shs[db]
             union = len(sa | sb)
             jac = len(sa & sb) / union if union else 0.0
             if jac >= JACCARD_T:
-                rows_a.append(int(da))
-                rows_b.append(int(db))
+                rows_a.append(da)
+                rows_b.append(db)
                 rows_j.append(float(np.round(jac, 4)))
         return pd.DataFrame({"doc_a": rows_a, "doc_b": rows_b, "jaccard": rows_j})
 
@@ -355,6 +377,24 @@ def _simhash64(text: str) -> int:
     return sig
 
 
+def _simhash_sigs(texts) -> np.ndarray:
+    """`_simhash64` of every row of a string column, as uint64: each
+    distinct token of the batch hashed once, the per-bit ±1 votes summed
+    per row over the token-window kernel's tokens (a count-weighted sum)."""
+    w = token_windows(texts)
+    enc = w.strings().dictionary_encode()
+    digests = b"".join(
+        hashlib.blake2b(t.encode(), digest_size=8).digest() for t in enc.dictionary.to_pylist()
+    )
+    # bit i of the little-endian 64-bit hash, as a ±1 vote
+    vote = np.unpackbits(
+        np.frombuffer(digests, np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+    ).astype(np.int8) * 2 - 1
+    first = np.searchsorted(w.row, np.arange(len(w.n)))  # every row has a token
+    acc = np.add.reduceat(vote[enc.indices.to_numpy()], first, axis=0, dtype=np.int64)
+    return np.packbits(acc > 0, axis=1, bitorder="little").view("<u8").ravel()
+
+
 @register("dedup_simhash", sql=golden_sql("dedup_simhash"))
 def dedup_simhash(sf_dir: str):
     """SimHash near-dup pairs: 64-bit signature per doc, blocked by each of
@@ -369,25 +409,15 @@ def dedup_simhash(sf_dir: str):
     B = n_buckets(size_bytes=ds.size_bytes())
 
     def sigs(batch: pa.Table) -> pa.Table:
-        out = {"band": [], "band_val": [], "doc_id": [], "sig": []}
-        for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-            s = _simhash64(text)
-            for band in range(4):
-                bv = (s >> (16 * band)) & 0xFFFF
-                out["band"].append(band)
-                out["band_val"].append(bv)
-                out["doc_id"].append(doc_id)
-                out["sig"].append(s)
-        return pa.Table.from_pydict(
-            out,
-            schema=pa.schema(
-                [
-                    ("band", pa.int64()),
-                    ("band_val", pa.int64()),
-                    ("doc_id", pa.int64()),
-                    ("sig", pa.uint64()),  # top bit may be set
-                ]
-            ),
+        sig, n = _simhash_sigs(batch["text"]), batch.num_rows
+        return pa.table(
+            {
+                "band": pa.array(np.tile(np.arange(4), n)),
+                # band i is the signature's i-th little-endian 16-bit word
+                "band_val": pa.array(sig.view("<u2").astype(np.int64)),
+                "doc_id": batch["doc_id"].take(np.repeat(np.arange(n), 4)),
+                "sig": pa.array(np.repeat(sig, 4), pa.uint64()),  # top bit may be set
+            }
         )
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
@@ -453,27 +483,19 @@ def ngram_jaccard_by_source(sf_dir: str):
     G = grid_buckets(ds.count(), target_side=20_000, floor=4)
 
     def explode(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_pylist()
-        texts = b["text"].to_pylist()
-        srcs = b["source"].to_pylist()
-        out = {"source": [], "ca": [], "cb": [], "doc_id": [], "sh": []}
-        for d, t, s in zip(ids, texts, srcs):
-            sh = sorted(_shingles(t))  # hashed once; text never ships
-            g = d & (G - 1)
-            for other in range(G):  # G distinct cells per doc, (g, g) once
-                ca, cb = (g, other) if g <= other else (other, g)
-                out["source"].append(s)
-                out["ca"].append(ca)
-                out["cb"].append(cb)
-                out["doc_id"].append(d)
-                out["sh"].append(sh)
-        return pa.Table.from_pydict(
+        # each doc's shingle set, hashed once (text never ships), goes to
+        # the G cells pairing its bucket with every other, (g, g) once
+        ids = b["doc_id"].to_numpy()
+        idx = np.repeat(np.arange(b.num_rows), G)
+        other = np.tile(np.arange(G), b.num_rows)
+        g = ids[idx] & (G - 1)
+        return pa.table(
             {
-                "source": pa.array(out["source"], pa.string()),
-                "ca": pa.array(out["ca"], pa.int64()),
-                "cb": pa.array(out["cb"], pa.int64()),
-                "doc_id": pa.array(out["doc_id"], pa.int64()),
-                "sh": pa.array(out["sh"], pa.list_(pa.int64())),
+                "source": b["source"].take(idx),
+                "ca": pa.array(np.minimum(g, other), pa.int64()),
+                "cb": pa.array(np.maximum(g, other), pa.int64()),
+                "doc_id": pa.array(ids[idx], pa.int64()),
+                "sh": _shingle_lists(b["text"]).take(idx),
             }
         )
 
@@ -772,8 +794,10 @@ def exact_substring_dups(sf_dir: str):
     in counting every duplicated POSITION — the quantity a removal pass
     would cut — and from MinHash in being exact, not probabilistic.
 
-    Distributed shape (split_contamination's two-exchange plan): explode
-    to (gram-md5, doc_id, pos-count) rows per batch; a COARSE data-aware
+    Distributed shape (split_contamination's two-exchange plan): each
+    batch's windows come from `tabular.token_windows` (`textan.md5_grams`)
+    and one Arrow group_by folds them to (gram-md5, doc_id, pos-count)
+    rows; a COARSE data-aware
     gram partition co-locates each gram's occurrences (per-gram logic
     inside a partition is one vectorized transform — no per-gram groups);
     grams held by ≥2 DISTINCT docs emit per-doc window counts, and a tiny
@@ -785,35 +809,18 @@ def exact_substring_dups(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from .tabular import bucket_groups
-    from .textan import contamination_buckets
+    from .textan import contamination_buckets, md5_grams
 
     ds = read(sf_dir, "documents", ["doc_id", "text"])
     nb = contamination_buckets(ds.size_bytes())
 
     def explode(b: pa.Table) -> pa.Table:
-        out_g, out_d, out_n = [], [], []
-        for d, t in zip(b["doc_id"].to_pylist(), b["text"].to_pylist()):
-            toks = t.split(" ")
-            if len(toks) < SUBSTR_W:
-                continue
-            # per-doc map-side combine: count positions per DISTINCT gram
-            counts: dict[str, int] = {}
-            for i in range(len(toks) - SUBSTR_W + 1):
-                hx = hashlib.md5(
-                    " ".join(toks[i : i + SUBSTR_W]).encode("utf-8")
-                ).hexdigest()
-                counts[hx] = counts.get(hx, 0) + 1
-            out_g.extend(counts.keys())
-            out_d.extend([d] * len(counts))
-            out_n.extend(counts.values())
-        return pa.Table.from_pydict(
-            {
-                # the gram's md5 prefix: its exchange key, hashed once here
-                "gk": pa.array([int(x[:8], 16) for x in out_g], pa.int64()),
-                "g": pa.array(out_g, pa.string()),
-                "doc_id": pa.array(out_d, pa.int64()),
-                "npos": pa.array(out_n, pa.int64()),
-            }
+        row, g, gk = md5_grams(b["text"], SUBSTR_W)
+        grams = pa.table({"gk": gk, "g": g, "doc_id": b["doc_id"].take(row)})
+        # per-doc map-side combine: count positions per DISTINCT (gram, doc)
+        c = grams.group_by(["gk", "g", "doc_id"]).aggregate([([], "count_all")])
+        return pa.table(
+            {"gk": c["gk"], "g": c["g"], "doc_id": c["doc_id"], "npos": c["count_all"]}
         )
 
     def part_group(g: pd.DataFrame) -> pd.DataFrame:

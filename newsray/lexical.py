@@ -30,7 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .registry import register
-from .tabular import read
+from .tabular import read, token_set_counts, token_windows
 
 # BM25 parameters (Robertson k1/b defaults; the idf is the log-free
 # rational form (N - df + 0.5)/(df + 0.5) so the score is pure arithmetic
@@ -93,26 +93,14 @@ def bm25_topk(sf_dir: str):
 
     ds = read(sf_dir, "documents", ["doc_id", "text"])
 
-    def _term_counts(b: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row token length + per-row occurrence count of each query
-        term — Arrow kernels (split / flatten / equal) + one bincount per
-        term; no Python row loop."""
-        toks = pc.split_pattern(b["text"], " ")
-        dl = pc.list_value_length(toks).to_numpy(zero_copy_only=False).astype("int64")
-        flat = pc.list_flatten(toks)
-        rows = np.repeat(np.arange(len(b), dtype="int64"), dl)
-        f = np.zeros((len(b), len(BM25_TERMS)), dtype="int64")
-        for j, term in enumerate(BM25_TERMS):
-            eq = pc.equal(flat, term).to_numpy(zero_copy_only=False)
-            if eq.any():
-                f[:, j] = np.bincount(rows[eq], minlength=len(b))
-        return dl, f
+    # per row: token length + occurrence count of each query term
+    terms = [(t,) for t in BM25_TERMS]
 
     def stats_partial(b: pa.Table) -> pa.Table:
-        dl, f = _term_counts(b)
+        dl, f = token_set_counts(b["text"], terms)
         row = {"n": [len(b)], "sl": [int(dl.sum())]}
         for j in range(len(BM25_TERMS)):
-            row[f"d{j + 1}"] = [int((f[:, j] > 0).sum())]
+            row[f"d{j + 1}"] = [int((f[j] > 0).sum())]
         return pa.Table.from_pydict(row)
 
     aggs = [Sum("n", alias_name="n"), Sum("sl", alias_name="sl")] + [
@@ -124,12 +112,12 @@ def bm25_topk(sf_dir: str):
     avgdl = float(sl) / n  # CAST(sl AS DOUBLE) / n — same division as the SQL
 
     def score(b: pa.Table) -> pa.Table:
-        dl, f = _term_counts(b)
+        dl, f = token_set_counts(b["text"], terms)
         dlf = dl.astype("float64")
         s = np.zeros(len(b), dtype="float64")
         # fixed term order, same expression tree as the SQL: bit-exact
         for j in range(len(BM25_TERMS)):
-            fj = f[:, j].astype("float64")
+            fj = f[j].astype("float64")
             s = s + (n - d[j] + 0.5) / (d[j] + 0.5) * fj * (BM25_K1 + 1.0) / (
                 fj + BM25_K1 * (1.0 - BM25_B + BM25_B * dlf / avgdl)
             )
@@ -216,31 +204,16 @@ def doc_bigram_lm_score(sf_dir: str):
     nb = n_buckets(size_bytes=ds.size_bytes())
 
     def bigram_rows(b: pa.Table) -> pa.Table:
-        """(doc_id, w1, w2) per bigram occurrence — flatten once, pair by
-        position, mask out cross-document seams."""
-        toks = pc.split_pattern(b["text"], " ")
-        dl = pc.list_value_length(toks).to_numpy(zero_copy_only=False).astype("int64")
-        flat = pc.list_flatten(toks)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        total = len(flat)
-        if total < 2:
-            return pa.Table.from_pydict(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "w1": pa.array([], pa.string()),
-                    "w2": pa.array([], pa.string()),
-                }
-            )
-        rows = np.repeat(np.arange(len(b), dtype="int64"), dl)
-        same = rows[:-1] == rows[1:]  # adjacent positions in the same doc
-        idx = np.nonzero(same)[0]
-        doc = b["doc_id"].to_numpy(zero_copy_only=False)[rows[idx]]
-        return pa.Table.from_pydict(
+        """(doc_id, w1, w2) per bigram occurrence: adjacent tokens of one
+        document."""
+        w = token_windows(b["text"])
+        toks = w.strings()
+        i = np.flatnonzero(w.row[:-1] == w.row[1:])  # each bigram's w1
+        return pa.table(
             {
-                "doc_id": pa.array(doc, pa.int64()),
-                "w1": flat.take(pa.array(idx)),
-                "w2": flat.take(pa.array(idx + 1)),
+                "doc_id": b["doc_id"].take(w.row[i]),
+                "w1": toks.take(i),
+                "w2": toks.take(i + 1),
             }
         )
 
@@ -337,12 +310,10 @@ def doc_token_entropy(sf_dir: str):
     ds = read(sf_dir, "documents", ["doc_id", "text"])
 
     def ent(b: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(b["text"], " ")
-        dl = pc.list_value_length(toks).to_numpy(zero_copy_only=False).astype("int64")
-        flat = pc.list_flatten(toks)
-        rows = np.repeat(np.arange(len(b), dtype="int64"), dl)
+        w = token_windows(b["text"])
+        dl = w.n
         g = (
-            pa.table({"row": pa.array(rows, pa.int64()), "tok": flat})
+            pa.table({"row": w.row, "tok": w.strings()})
             .group_by(["row", "tok"])
             .aggregate([([], "count_all")])
         )
@@ -388,7 +359,7 @@ def build_postings_index(sf_dir: str, out_dir: str) -> str:
     rebuilds instead of serving stale postings)."""
     import os
 
-    from .tabular import hash_bucket, idempotent_partitioned_build
+    from .tabular import idempotent_partitioned_build, key_buckets
 
     src = f"{sf_dir}/documents.parquet"
     st = os.stat(src)
@@ -402,27 +373,19 @@ def build_postings_index(sf_dir: str, out_dir: str) -> str:
     ds = read(sf_dir, "documents", ["doc_id", "text"])
 
     def postings(b: pa.Table) -> pa.Table:
-        # Arrow split/flatten + ONE pandas hash groupby per batch; the only
-        # per-item python (md5 bucketing) runs once per DISTINCT term in
-        # the batch, not per token
-        toks = pc.split_pattern(b["text"], " ")
-        dl = pc.list_value_length(toks).to_numpy(zero_copy_only=False).astype("int64")
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype("int64")
-        flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False)
-        rows = np.repeat(ids, dl)
-        df = (
-            pd.DataFrame({"doc_id": rows, "term": flat})
-            .groupby(["doc_id", "term"], sort=False)
-            .size()
-            .reset_index(name="tf")
+        # ONE Arrow group_by per batch; the md5 bucketing (`key_buckets`)
+        # runs once per DISTINCT term in the batch, not per token
+        w = token_windows(b["text"])
+        tf = pa.table({"term": w.strings(), "doc_id": b["doc_id"].take(w.row)})
+        tf = tf.group_by(["term", "doc_id"]).aggregate([([], "count_all")])
+        return pa.table(
+            {
+                "term": tf["term"],
+                "doc_id": tf["doc_id"],
+                "tf": tf["count_all"],
+                "tb": key_buckets([tf["term"]], POSTINGS_BUCKETS),
+            }
         )
-        uniq = df["term"].unique()
-        tb = {t: hash_bucket(t, POSTINGS_BUCKETS) for t in uniq}
-        from .tabular import from_pandas_clean
-
-        df["tb"] = df["term"].map(tb).astype("int64")
-        df["tf"] = df["tf"].astype("int64")
-        return from_pandas_clean(df[["term", "doc_id", "tf", "tb"]])
 
     def build(tmp_dir: str) -> None:
         ds.map_batches(postings, batch_format="pyarrow").write_parquet(

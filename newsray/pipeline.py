@@ -177,29 +177,27 @@ FETCH_LOG_SCHEMA = pa.schema(
 # __init__, but shared by every stateless task stage on that worker)
 # ---------------------------------------------------------------------------
 
+# keyed by WebParams alone: the web and its keyword matchers depend on nothing else
 _ENGINES: dict = {}
 
 
 class _Engine:
-    def __init__(self, web_params: WebParams, policy: CrawlPolicy):
+    def __init__(self, web_params: WebParams):
         from .webfixture import build_web
 
         # web backend per params: synthetic generator or saved-HTML fixture
         # dir (which also registers its SiteConfigs in THIS process — Ray
         # workers included, so dynamic sites need no code changes)
         self.web = build_web(web_params)
-        self.policy = policy
         self.matchers: dict[str, KeywordMatcher] = {
             site: make_matcher(self.web, SITES[site]) for site in SITES
         }
 
 
-def get_engine(web_params: WebParams, policy: CrawlPolicy) -> _Engine:
-    key = (web_params, repr(policy))
-    eng = _ENGINES.get(key)
+def get_engine(web_params: WebParams) -> _Engine:
+    eng = _ENGINES.get(web_params)
     if eng is None:
-        eng = _Engine(web_params, policy)
-        _ENGINES[key] = eng
+        eng = _ENGINES[web_params] = _Engine(web_params)
     return eng
 
 
@@ -229,7 +227,7 @@ def _append(cols: dict, *vals) -> None:
 # ---------------------------------------------------------------------------
 
 
-def fetch_parse(batch: pa.Table, web_params: WebParams, policy: CrawlPolicy) -> pa.Table:
+def fetch_parse(batch: pa.Table, web_params: WebParams) -> pa.Table:
     """Fused fetch + parse over released frontier rows. The page payload is
     generated (in production: HTTP-fetched by a session held in worker
     state), parsed, and DROPPED inside this one stage — row metadata is
@@ -238,7 +236,7 @@ def fetch_parse(batch: pa.Table, web_params: WebParams, policy: CrawlPolicy) -> 
     two-hop article page (the listing's title first, the page's time or
     else the listing's, the page's image, its summary in ``lead``).
     Relevance and finalize happen once, in ``relevance_finalize``."""
-    eng = get_engine(web_params, policy)
+    eng = get_engine(web_params)
     flog = {c: [] for c in ("site", "canon_url", "host", "discovered_seq", "released_at_virtual")}
     cand = {
         c: []
@@ -333,7 +331,7 @@ def relevance_finalize(
     3. every other row goes through ``extract.finalize_article`` (time
        cascade, image, summary, day label) and ``within_last_days`` and
        leaves as a ``doc`` row."""
-    eng = get_engine(web_params, policy)
+    eng = get_engine(web_params)
     now = policy.now
     hop: list[int] = []
     docs: list[dict] = []
@@ -620,7 +618,7 @@ class CrawlPipeline:
         fault_actor = cfg.fault_inject_actor
 
         def fetch_parse_m(b: pa.Table) -> pa.Table:
-            out = fetch_parse(b, wp, policy)
+            out = fetch_parse(b, wp)
             if fault_actor is not None and b.num_rows:
                 # chaos hook: die after the fetch, before this batch's
                 # claims and counters — the retry re-runs the batch later in

@@ -41,6 +41,7 @@ from .ann import N_PLANES, PREFIX_BITS, probe_set
 from .ann import _signature as signatures  # shared sign-bit pack (exact on int64)
 from .golden import golden_sql
 from .registry import register
+from .tabular import token_windows
 from .textan import CHUNK_STRIDE, CHUNK_TOKENS
 
 EMB_DIM = 32
@@ -91,16 +92,14 @@ class StubEmbedder:
         self._planes = stub_planes()
 
     def __call__(self, b: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(b["chunk_text"], " ")
-        dl = pc.list_value_length(toks).to_numpy(zero_copy_only=False).astype("int64")
-        flat = pc.list_flatten(toks).to_pylist()
-        rows = np.repeat(np.arange(len(b), dtype=np.int64), dl)
-        uniq, inv = np.unique(np.asarray(flat, dtype=object), return_inverse=True)
+        w = token_windows(b["chunk_text"])
+        enc = w.strings().dictionary_encode()
+        uniq = enc.dictionary.to_pylist()
         vecs = np.empty((len(uniq), EMB_DIM), dtype=np.int64)
         for i, t in enumerate(uniq):  # model forward: unique tokens only
             vecs[i] = token_vec(t)
         embs = np.zeros((len(b), EMB_DIM), dtype=np.int64)
-        np.add.at(embs, rows, vecs[inv])
+        np.add.at(embs, w.row, vecs[enc.indices.to_numpy()])
         sigs = signatures(embs, self._planes)
         return pa.Table.from_pydict(
             {

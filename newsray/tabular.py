@@ -14,6 +14,7 @@ import json
 import os
 import shutil
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -47,36 +48,87 @@ def from_pandas_clean(df) -> pa.Table:
     return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
 
 
+class TokenWindows(NamedTuple):
+    """The token windows of a string column (`token_windows`): window ``i``
+    is the bytes ``data[start[i]:end[i]]`` of input row ``row[i]`` (rows
+    ascending, windows in text order within a row); ``n`` is each input
+    row's token count."""
+
+    row: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    data: np.ndarray
+    n: np.ndarray
+
+    def slices(self) -> list[bytes]:
+        """Each window's bytes, for hashing."""
+        b = self.data.tobytes()
+        return [b[s:e] for s, e in zip(self.start.tolist(), self.end.tolist())]
+
+    def strings(self) -> pa.Array:
+        """Each window's text as one Arrow string array (a byte gather)."""
+        lens = self.end - self.start
+        off = np.zeros(len(lens) + 1, np.int64)
+        np.cumsum(lens, out=off[1:])
+        idx = np.repeat(self.start - off[:-1], lens) + np.arange(off[-1])
+        big = pa.LargeStringArray.from_buffers(
+            len(lens), pa.py_buffer(off), pa.py_buffer(self.data[idx])
+        )
+        return big.cast(pa.string())  # raises rather than wrap past 2 GiB
+
+
+def token_windows(
+    texts: pa.ChunkedArray | pa.Array, k: int = 1, stride: int = 1
+) -> TokenWindows:
+    """THE tokenizer of the text operators: split a (non-null) string
+    column on ``' '`` once with Arrow (``text.split(' ')``, DuckDB's
+    ``string_split``: consecutive spaces give empty tokens) and cut each
+    row's tokens into windows. Covering rule: windows start at token 0,
+    stride, 2·stride, … up to the first window that reaches the row's last
+    token, each holding min(k, remaining) tokens — so a row of ≤ k tokens
+    gives one window of all of them (callers that need full windows drop
+    rows with ``n < k``), and ``k=1`` gives every token. A window is a byte
+    range of the column's data buffer, tokens and separating spaces, so
+    callers hash it without re-joining strings and gather text
+    (`TokenWindows.strings`) only where text is the output."""
+    arr = texts.combine_chunks() if isinstance(texts, pa.ChunkedArray) else texts
+    toks = pc.split_pattern(arr, " ")
+    n = np.asarray(pc.list_value_length(toks), np.int64)
+    tlen = np.asarray(pc.binary_length(pc.list_flatten(toks)), np.int64)
+    width = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+    offs = np.frombuffer(arr.buffers()[1], width)[arr.offset : arr.offset + len(arr) + 1]
+    buf = arr.buffers()[2]
+    data = np.frombuffer(buf, np.uint8) if buf is not None else np.zeros(0, np.uint8)
+    # a token starts at its row's first byte plus the lengths of the row's
+    # earlier tokens, one separating space each
+    first = np.cumsum(n) - n  # each row's first token
+    tok_row = np.repeat(np.arange(len(n)), n)
+    step = np.cumsum(tlen + 1) - (tlen + 1)
+    tstart = offs[:-1].astype(np.int64)[tok_row] + step - step[first][tok_row]
+    nwin = 1 + -(-np.maximum(n - k, 0) // stride)
+    row = np.repeat(np.arange(len(n)), nwin)
+    lead = (np.arange(len(row)) - np.repeat(np.cumsum(nwin) - nwin, nwin)) * stride
+    lo = first[row] + lead
+    hi = first[row] + np.minimum(lead + k, n[row]) - 1
+    return TokenWindows(row, tstart[lo], tstart[hi] + tlen[hi], data, n)
+
+
 def token_set_counts(
     texts: pa.ChunkedArray | pa.Array,
     term_sets,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Whitespace-tokenize a string column and count, per row, (a) the total
-    token count and (b) how many tokens fall in each of the given term sets
-    — entirely with Arrow kernels (``split_pattern`` → ``list_flatten`` →
-    ``is_in``) plus one ``np.bincount`` per set. This is the shared kernel
-    for the full-corpus text gates (lang-ID, quality, corpus_clean stages
-    1-2): zero Python per row, same semantics as ``text.split(' ')``
-    (consecutive spaces yield empty-string tokens). Returns
+    """Per row, the token count and how many tokens fall in each of the
+    given term sets: `token_windows` tokens → ``is_in`` → one
+    ``np.bincount`` per set. The shared counter of the full-corpus text
+    gates (lang-ID, quality, BM25, corpus_clean stages 1-2). Returns
     ``(n_tokens[int64 per row], [counts[int64 per row] per term set])``."""
-    import pyarrow.compute as pc
-
-    toks = pc.split_pattern(texts, " ")
-    n = len(toks)
-    dl = pc.list_value_length(toks).to_numpy(zero_copy_only=False).astype("int64")
-    flat = pc.list_flatten(toks)
-    rows = np.repeat(np.arange(n, dtype="int64"), dl)
-    out: list[np.ndarray] = []
+    w = token_windows(texts)
+    toks = w.strings()
+    out = []
     for terms in term_sets:
-        m = pc.is_in(flat, value_set=pa.array(list(terms), pa.string())).to_numpy(
-            zero_copy_only=False
-        )
-        out.append(
-            np.bincount(rows[m], minlength=n).astype("int64")
-            if m.any()
-            else np.zeros(n, dtype="int64")
-        )
-    return dl, out
+        m = pc.is_in(toks, value_set=pa.array(list(terms), pa.string()))
+        out.append(np.bincount(w.row[m.to_numpy(zero_copy_only=False)], minlength=len(w.n)))
+    return w.n, out
 
 
 def day_str(ts_series) -> np.ndarray:

@@ -15,7 +15,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .registry import register
-from .tabular import read
+from .tabular import read, token_windows
 
 
 @register(
@@ -30,12 +30,10 @@ def doc_token_counts(sf_dir: str):
     `doc_quality`'s avg_token_len)."""
     ds = read(sf_dir, "documents", ["doc_id", "text"])
 
-    def count(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["n_tokens"] = b["text"].str.split(" ").str.len().astype("int64")
-        return b[["doc_id", "n_tokens"]]
+    def count(b: pa.Table) -> pa.Table:
+        return pa.table({"doc_id": b["doc_id"], "n_tokens": token_windows(b["text"]).n})
 
-    return ds.map_batches(count, batch_format="pandas")
+    return ds.map_batches(count, batch_format="pyarrow")
 
 
 @register(
@@ -101,7 +99,7 @@ def doc_lang_id(sf_dir: str):
 )
 def doc_quality(sf_dir: str):
     """Quality scoring: stopword ratio + average token length (length/punct
-    ratios degenerate on this corpus). Single tokenize pass per row."""
+    ratios degenerate on this corpus). Single tokenize pass per batch."""
     import pyarrow.compute as pc
 
     from .tabular import token_set_counts
@@ -184,16 +182,17 @@ def doc_split_assign(sf_dir: str):
     ds = read(sf_dir, "documents", ["doc_id"])
 
     def assign(b: pa.Table) -> pa.Table:
-        hx = [
-            hashlib.md5(str(d).encode("utf-8")).hexdigest()
-            for d in b["doc_id"].to_pylist()
-        ]
-        split = ["train" if h < "cc" else ("val" if h < "e6" else "test") for h in hx]
-        return pa.Table.from_pydict(
-            {"doc_id": b["doc_id"], "split": pa.array(split, pa.string())}
-        )
+        return pa.table({"doc_id": b["doc_id"], "split": _splits(b["doc_id"])})
 
     return ds.map_batches(assign, batch_format="pyarrow")
+
+
+def _splits(doc_ids) -> pa.Array:
+    """`doc_split_assign`'s rule: each doc_id's train/val/test split."""
+    hx = [hashlib.md5(str(d).encode("utf-8")).hexdigest() for d in doc_ids.to_pylist()]
+    return pa.array(
+        ["train" if h < "cc" else ("val" if h < "e6" else "test") for h in hx], pa.string()
+    )
 
 
 @register(
@@ -255,11 +254,8 @@ def top50_tokens(sf_dir: str):
     ds = read(sf_dir, "documents", ["text"])
 
     def partial(b: pa.Table) -> pa.Table:
-        # fully vectorized map-side combine: split → flatten → value_counts,
-        # all Arrow C++ kernels (was a per-doc Python Counter — VERDICT r3 #9)
-        import pyarrow.compute as pc
-
-        vc = pc.list_flatten(pc.split_pattern(b["text"], " ")).value_counts()
+        # vectorized map-side combine: the batch's tokens → value_counts
+        vc = token_windows(b["text"]).strings().value_counts()
         return pa.Table.from_pydict(
             {
                 "tok": vc.field("values"),
@@ -309,43 +305,39 @@ def doc_repetition(sf_dir: str):
     """Repetition-based quality gates (the Gopher-rule family): per doc the
     distinct-token ratio, the most-frequent-token fraction, and the
     duplicate-bigram fraction — the three signals that catch boilerplate,
-    keyword-stuffed and degenerate-loop documents before training. One
-    tokenize pass per row builds token counts and the bigram set together;
+    keyword-stuffed and degenerate-loop documents before training. Per
+    batch, `tabular.token_windows` gives the tokens (counted per row by one
+    Arrow group_by) and the 2-token windows (distinct bigrams per row);
     pure per-batch map, no shuffle, no state (reference parity: this extends
     the reference's scalar text layer, SURVEY §2.8, the way its keyword
     relevance extends matching)."""
     ds = read(sf_dir, "documents", ["doc_id", "text"])
 
-    def rep(b: pd.DataFrame) -> pd.DataFrame:
-        from collections import Counter
-
-        n_tok = np.empty(len(b), dtype="int64")
-        dratio = np.empty(len(b), dtype="float64")
-        topfrac = np.empty(len(b), dtype="float64")
-        dupbg = np.empty(len(b), dtype="float64")
-        for i, t in enumerate(b["text"].to_numpy()):
-            toks = t.split(" ")
-            n = len(toks)
-            c = Counter(toks)
-            n_tok[i] = n
-            dratio[i] = len(c) / n
-            topfrac[i] = max(c.values()) / n
-            if n >= 2:
-                bigrams = {(toks[j], toks[j + 1]) for j in range(n - 1)}
-                dupbg[i] = 1.0 - len(bigrams) / (n - 1)
-            else:
-                dupbg[i] = 0.0
-        return pd.DataFrame(
+    def rep(b: pa.Table) -> pa.Table:
+        n = b.num_rows
+        w = token_windows(b["text"])
+        c = pa.table({"row": w.row, "tok": w.strings()}).group_by(["row", "tok"])
+        c = c.aggregate([([], "count_all")])
+        crow = c["row"].to_numpy()
+        top = np.zeros(n, np.int64)
+        np.maximum.at(top, crow, c["count_all"].to_numpy())
+        # a 2-token window's text names its bigram: tokens hold no space
+        w2 = token_windows(b["text"], 2)
+        bg = pa.table({"row": w2.row, "bg": w2.strings()}).group_by(["row", "bg"])
+        nbg = np.bincount(bg.aggregate([])["row"].to_numpy(), minlength=n)
+        ntok = w.n
+        dupbg = np.where(ntok >= 2, 1.0 - nbg / np.maximum(ntok - 1, 1), 0.0)
+        return pa.table(
             {
-                "doc_id": b["doc_id"].to_numpy(),
-                "n_tokens": n_tok,
-                "distinct_ratio": _round4(dratio),
-                "top_token_frac": _round4(topfrac),
+                "doc_id": b["doc_id"],
+                "n_tokens": ntok,
+                "distinct_ratio": _round4(np.bincount(crow, minlength=n) / ntok),
+                "top_token_frac": _round4(top / ntok),
                 "dup_bigram_frac": _round4(dupbg),
             }
         )
 
-    return ds.map_batches(rep, batch_format="pandas")
+    return ds.map_batches(rep, batch_format="pyarrow")
 
 
 PACK_BUDGET = 2048  # tokens per packed training sequence
@@ -473,17 +465,9 @@ def doc_distinctive_terms(sf_dir: str):
     nb = n_buckets(size_bytes=ds.size_bytes())
 
     def _exploded_pairs(b: pa.Table) -> pa.Table:
-        """(doc_id, tok) row per token OCCURRENCE — split/flatten/repeat are
-        all vectorized kernels (was a per-doc Python Counter, VERDICT r3 #9)."""
-        import pyarrow.compute as pc
-
-        toks = pc.split_pattern(b["text"], " ")
-        reps = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        doc = np.repeat(b["doc_id"].to_numpy(zero_copy_only=False), reps)
-        flat = pc.list_flatten(toks)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        return pa.table({"doc_id": pa.array(doc, pa.int64()), "tok": flat})
+        """(doc_id, tok) row per token OCCURRENCE."""
+        w = token_windows(b["text"])
+        return pa.table({"doc_id": b["doc_id"].take(w.row), "tok": w.strings()})
 
     def tf_rows(b: pa.Table) -> pa.Table:
         tf = _exploded_pairs(b).group_by(["doc_id", "tok"]).aggregate([([], "count_all")])
@@ -557,6 +541,19 @@ def contamination_buckets(size_bytes: int | None) -> int:
     return n_buckets(size_bytes=(size_bytes or 0) * GRAM_EXPANSION)
 
 
+def md5_grams(texts, k: int) -> tuple[np.ndarray, pa.Array, pa.Array]:
+    """Every full ``k``-token window of the rows with at least ``k``
+    tokens (`tabular.token_windows`): its row, its md5 hex (the oracle's
+    ``md5(array_to_string(t[i:i+k-1], ' '))``) and its exchange key, the
+    first 8 hex digits as an int."""
+    w = token_windows(texts, k)
+    full = w.n[w.row] >= k
+    w = w._replace(row=w.row[full], start=w.start[full], end=w.end[full])
+    hx = [hashlib.md5(s).hexdigest() for s in w.slices()]
+    gk = np.frombuffer(bytes.fromhex("".join(hx)), ">u4")[::4].astype(np.int64)
+    return w.row, pa.array(hx, pa.string()), pa.array(gk)
+
+
 @register(
     "split_contamination",
     sql=f"""
@@ -587,11 +584,13 @@ def split_contamination(sf_dir: str):
     """Train/eval DECONTAMINATION — the check every training corpus needs
     before an eval split is trusted: every val/test document sharing at
     least one 8-token n-gram with ANY train document, with the count of
-    distinct shared grams. Distributed shape: per batch, assign the split
-    (the `doc_split_assign` rule — pure hash, no join) and explode to
-    DISTINCT (gram-key, split, doc_id) rows; ONE groupby co-locates each
-    gram's members, groups holding a train member emit their non-train
-    members once each; a tiny keyed sum yields per-doc shared-gram counts.
+    distinct shared grams. Distributed shape: per batch, the 8-token
+    windows of `tabular.token_windows` (`md5_grams`) and each doc's split
+    (the `doc_split_assign` rule — pure hash, no join) fold, by one Arrow
+    group_by, to DISTINCT (gram-key, split, doc_id) rows; ONE groupby
+    co-locates each gram's members, groups holding a train member emit
+    their non-train members once each; a tiny keyed sum yields per-doc
+    shared-gram counts.
     The gram exchange groups by a COARSE partition of the gram key
     (millions of one-row gram groups through map_groups is the known Ray
     anti-pattern); per-gram logic inside a partition is one vectorized isin.
@@ -606,31 +605,17 @@ def split_contamination(sf_dir: str):
     nb = contamination_buckets(ds.size_bytes())
 
     def explode(b: pa.Table) -> pa.Table:
-        out_g, out_d, out_s = [], [], []
-        for d, t in zip(b["doc_id"].to_pylist(), b["text"].to_pylist()):
-            toks = t.split(" ")
-            if len(toks) < NGRAM_N:
-                continue
-            hx = hashlib.md5(str(d).encode("utf-8")).hexdigest()
-            split = "train" if hx < "cc" else ("val" if hx < "e6" else "test")
-            grams = {
-                hashlib.md5(
-                    " ".join(toks[i : i + NGRAM_N]).encode("utf-8")
-                ).hexdigest()
-                for i in range(len(toks) - NGRAM_N + 1)
-            }
-            out_g.extend(grams)
-            out_d.extend([d] * len(grams))
-            out_s.extend([split] * len(grams))
-        return pa.Table.from_pydict(
+        row, g, gk = md5_grams(b["text"], NGRAM_N)
+        grams = pa.table(
             {
-                # the gram's md5 prefix: its exchange key, hashed once here
-                "gk": pa.array([int(x[:8], 16) for x in out_g], pa.int64()),
-                "g": pa.array(out_g, pa.string()),
-                "doc_id": pa.array(out_d, pa.int64()),
-                "split": pa.array(out_s, pa.string()),
+                "gk": gk,
+                "g": g,
+                "doc_id": b["doc_id"].take(row),
+                "split": _splits(b["doc_id"]).take(row),
             }
         )
+        # DISTINCT (gram, doc) rows: a doc's repeated gram counts once
+        return grams.group_by(["gk", "g", "doc_id", "split"]).aggregate([])
 
     def part_group(g: pd.DataFrame) -> pd.DataFrame:
         # one coarse partition = many grams: vectorized membership, no
@@ -677,34 +662,23 @@ CHUNK_STRIDE = 32  # overlap stride
 )
 def doc_chunks(sf_dir: str):
     """Overlapping token-window chunking — the prep step for embedding /
-    retrieval indexing: each document explodes into 64-token
-    chunks at 32-token stride, the last chunk being the first
-    to reach the document's end (every token is covered, short docs emit
-    one chunk). Pure per-batch flat explosion — no shuffle, no state — so
+    retrieval indexing: each document becomes the 64-token windows at
+    32-token stride of `tabular.token_windows`, the last chunk being the
+    first to reach the document's end (every token is covered, short docs
+    emit one chunk), gathered as text once per batch. A pure per-batch map
+    — no shuffle, no state — so
     it pipelines with downstream embedding actors; chunk_id is the in-doc
     window index, deterministic at any block split."""
     ds = read(sf_dir, "documents", ["doc_id", "text"])
 
     def explode(b: pa.Table) -> pa.Table:
-        out_d, out_c, out_t = [], [], []
-        for d, t in zip(b["doc_id"].to_pylist(), b["text"].to_pylist()):
-            toks = t.split(" ")
-            n = len(toks)
-            last_i = (
-                0
-                if n <= CHUNK_TOKENS
-                else -(-(n - CHUNK_TOKENS) // CHUNK_STRIDE)
-            )
-            for i in range(last_i + 1):
-                s = i * CHUNK_STRIDE
-                out_d.append(d)
-                out_c.append(i)
-                out_t.append(" ".join(toks[s : s + CHUNK_TOKENS]))
-        return pa.Table.from_pydict(
+        w = token_windows(b["text"], CHUNK_TOKENS, CHUNK_STRIDE)
+        chunk_id = np.arange(len(w.row)) - np.searchsorted(w.row, w.row)
+        return pa.table(
             {
-                "doc_id": pa.array(out_d, pa.int64()),
-                "chunk_id": pa.array(out_c, pa.int64()),
-                "chunk_text": pa.array(out_t, pa.string()),
+                "doc_id": b["doc_id"].take(w.row),
+                "chunk_id": pa.array(chunk_id, pa.int64()),
+                "chunk_text": w.strings(),
             }
         )
 

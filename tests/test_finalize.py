@@ -72,10 +72,9 @@ def test_one_finalize_matches_oracle_rule():
     wp, policy = WebParams(seed=9301), CrawlPolicy()
     now = policy.now
     web = SyntheticWeb(wp)
-    eng = pipeline._Engine(wp, policy)
+    eng = pipeline._Engine(wp)
     eng.web = pages = _PageWeb(web)
-    key = (wp, repr(policy))
-    pipeline._ENGINES[key] = eng
+    pipeline._ENGINES[wp] = eng
     matchers = {s: make_matcher(web, SITES[s]) for s in BUILTIN}
     rng = random.Random(5)
 
@@ -194,9 +193,7 @@ def test_one_finalize_matches_oracle_rule():
 
         # the pipeline: fetch_parse makes the detail rows, and the one
         # finalize takes them with the claimed cands, in random batches
-        fetched = fetch_parse(
-            pa.Table.from_pylist(article_rows), wp, policy
-        )
+        fetched = fetch_parse(pa.Table.from_pylist(article_rows), wp)
         details = fetched.filter(pc.equal(fetched["rowkind"], "detail"))
         assert details.num_rows == len(article_rows)
         rows = pa.concat_tables(
@@ -227,4 +224,4 @@ def test_one_finalize_matches_oracle_rule():
         } == want_front
         assert len(front) == len(want_front)
     finally:
-        pipeline._ENGINES.pop(key, None)
+        pipeline._ENGINES.pop(wp, None)

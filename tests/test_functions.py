@@ -374,6 +374,82 @@ def test_jaccard_grid_decomposition_equals_all_pairs():
     assert got == want
 
 
+def _window_texts():
+    """Texts for the token-window tests: empty and space-only texts,
+    leading, trailing and double spaces, multi-byte tokens."""
+    import random
+
+    rng = random.Random(11)
+    words = ["a", "bb", "", "한국", "어", "ÿé", "x" * 9, "the"]
+    return ["", " ", "  ", "a ", " a", "a  b", "한국 어", "x"] + [
+        " ".join(rng.choice(words) for _ in range(rng.randint(0, 90))) for _ in range(300)
+    ]
+
+
+@pytest.mark.parametrize("k,stride", [(1, 1), (2, 1), (3, 1), (8, 1), (16, 1), (64, 32)])
+def test_token_windows_covering_rule(k, stride):
+    """`tabular.token_windows` cuts each row into the windows
+    ``' '.join(t.split(' ')[s:s+k])`` for s = 0, stride, … up to the first
+    window that reaches the row's last token, on a plain, a chunked and a
+    sliced (non-zero offset) column; byte slices and gathered strings
+    agree."""
+    import pyarrow as pa
+
+    from newsray.tabular import token_windows
+
+    texts = _window_texts()
+
+    def want(t):
+        toks, out, s = t.split(" "), [], 0
+        while True:
+            out.append(" ".join(toks[s : s + k]))
+            if s + k >= len(toks):
+                return out
+            s += stride
+
+    for col in (
+        pa.array(texts),
+        pa.chunked_array([texts[:50], texts[50:]]),
+        pa.array(["pad pad", "x"] + texts).slice(2),
+    ):
+        w = token_windows(col, k, stride)
+        got = w.strings().to_pylist()
+        assert [s.decode() for s in w.slices()] == got
+        per_row = [[] for _ in texts]
+        for r, s in zip(w.row.tolist(), got):
+            per_row[r].append(s)
+        assert per_row == [want(t) for t in texts]
+        assert w.n.tolist() == [len(t.split(" ")) for t in texts]
+
+
+def test_batch_hashes_equal_scalar_references():
+    """The batch shingle sets, SimHash signatures (bit 63 included) and md5
+    grams built on `token_windows` equal the per-document references."""
+    import hashlib
+
+    import pyarrow as pa
+
+    from newsray.dedup_ops import _shingle_lists, _shingles, _simhash64, _simhash_sigs
+    from newsray.textan import md5_grams
+
+    texts = _window_texts()
+    col = pa.array(["pad"] + texts).slice(1)
+    assert _shingle_lists(col).to_pylist() == [sorted(_shingles(t)) for t in texts]
+    sigs = _simhash_sigs(col)
+    assert sigs.dtype.name == "uint64"
+    assert [int(s) for s in sigs] == [_simhash64(t) for t in texts]
+    assert any(int(s) >> 63 for s in sigs), "no signature exercises bit 63"
+    for k in (8, 16):
+        row, g, gk = md5_grams(col, k)
+        want = [
+            (i, hashlib.md5(" ".join(toks[j : j + k]).encode()).hexdigest())
+            for i, toks in enumerate(t.split(" ") for t in texts)
+            for j in range(len(toks) - k + 1)
+        ]
+        assert list(zip(row.tolist(), g.to_pylist())) == want
+        assert gk.to_pylist() == [int(h[:8], 16) for _, h in want]
+
+
 # -- round-3 additions: selector-engine extensions + zero-copy embeddings ----
 
 
