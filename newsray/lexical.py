@@ -147,9 +147,6 @@ def bm25_topk(sf_dir: str):
     )
 
 
-LM_Q_SCALE = 1e12  # per-bigram probability quantization (order-free int sums)
-
-
 @register(
     "doc_bigram_lm_score",
     sql="""

@@ -48,7 +48,6 @@ EMB_DIM = 32
 TOP_K = 10
 QUERY_DOC_ID = 0  # deterministic query: chunk 0 of doc 0
 CHUNK_INDEX_ROOT = "/tmp/newsray_chunk_index"
-_INDEX_VERSION = 1
 
 
 def token_vec(tok: str) -> np.ndarray:
@@ -125,7 +124,6 @@ def build_chunk_index(sf_dir: str, out_dir: str) -> str:
     st = os.stat(f"{sf_dir}/documents.parquet")
     want = {
         "sf_dir": sf_dir,
-        "version": _INDEX_VERSION,
         "n_planes": N_PLANES,
         "prefix_bits": PREFIX_BITS,
         "chunk": [CHUNK_TOKENS, CHUNK_STRIDE],
@@ -139,7 +137,7 @@ def build_chunk_index(sf_dir: str, out_dir: str) -> str:
             batch_format="pyarrow",
             batch_size=512,
             concurrency=(2, 8),
-            num_cpus=1,
+            num_cpus=0,  # at 1 CPU each, two actors held the CPUs their read needs
         ).write_parquet(tmp_dir, partition_cols=["part"])
 
     return idempotent_partitioned_build(out_dir, want, build)

@@ -1,18 +1,15 @@
-"""Single source of truth for every Arrow schema in the engine.
+"""The Arrow schema of the ``documents`` table, the canonical interleaved
+text+media output (BASELINE.json input_hint). The crawl's own wave, frontier
+and fetch-log schemas live with the code that writes them in ``pipeline``.
 
-The reference keeps all schemas implicit (ad-hoc Python dicts, e.g. the
+The reference keeps its records implicit (ad-hoc Python dicts, e.g. the
 article record built at Naver_Crawler.py:124-131 / FnNews_Crawler.py:84-90);
-we replace that with explicit ``pyarrow.Schema`` objects so every
-``map_batches`` stage is schema-checked and zero-copy.
+an explicit ``pyarrow.Schema`` lets the document writers check every block.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
-
-# ---------------------------------------------------------------------------
-# documents — canonical interleaved text+media table (BASELINE.json input_hint)
-# ---------------------------------------------------------------------------
 
 SPAN_STRUCT = pa.struct(
     [
@@ -29,93 +26,3 @@ DOCUMENTS = pa.schema(
         ("spans", pa.list_(SPAN_STRUCT)),
     ]
 )
-
-# Span kinds, in their canonical emission order. Absent fields DROP the span
-# (mirrors per-site record shapes: no summary for single-hop sites, empty img
-# skipped); ``offset`` is the position in the emitted sequence after drops.
-SPAN_KINDS = ("title", "time", "summary", "image", "link")
-
-# ---------------------------------------------------------------------------
-# articles — flat relational view of `documents` (1:1 with the reference's
-# article dict {title,time,img,url,original_url[,summary]} + our metadata)
-# ---------------------------------------------------------------------------
-
-ARTICLES = pa.schema(
-    [
-        ("site", pa.string()),
-        ("title", pa.string()),
-        ("time", pa.timestamp("us")),
-        ("img", pa.string()),
-        ("url", pa.string()),
-        ("original_url", pa.string()),
-        ("summary", pa.string()),  # nullable; '' sentinel not used here
-        ("date_group", pa.string()),
-        ("discovered_seq", pa.int64()),
-    ]
-)
-
-# ---------------------------------------------------------------------------
-# frontier — replaces the reference's hard-coded seed lists + pagination loops
-# ---------------------------------------------------------------------------
-
-FRONTIER = pa.schema(
-    [
-        ("url", pa.string()),
-        ("canon_url", pa.string()),
-        ("host", pa.string()),
-        ("site", pa.string()),
-        ("category", pa.string()),
-        ("kind", pa.string()),  # 'listing' | 'article'
-        ("page_no", pa.int32()),
-        ("seed_rank", pa.int32()),
-        ("depth", pa.int32()),
-        ("discovered_seq", pa.int64()),
-        # fields carried from the listing for two-hop article candidates
-        ("title", pa.string()),
-        ("lead", pa.string()),
-        ("time_raw", pa.string()),
-        ("img_url", pa.string()),
-    ]
-)
-
-# ---------------------------------------------------------------------------
-# pages — fetched payloads (raw bytes + declared encoding; encoding is DATA:
-# the reference force-decodes euc-kr for one site and sniffs for another)
-# ---------------------------------------------------------------------------
-
-PAGES = pa.schema(
-    [
-        ("canon_url", pa.string()),
-        ("host", pa.string()),
-        ("site", pa.string()),
-        ("status", pa.int32()),
-        ("encoding", pa.string()),
-        ("payload", pa.binary()),
-        ("fetched_at_virtual", pa.float64()),  # politeness-clock release time (s)
-    ]
-)
-
-FETCH_LOG = pa.schema(
-    [
-        ("seq", pa.int64()),
-        ("canon_url", pa.string()),
-        ("host", pa.string()),
-        ("site", pa.string()),
-        ("wave", pa.int32()),
-        ("released_at_virtual", pa.float64()),
-    ]
-)
-
-KEYWORDS = pa.schema(
-    [
-        ("keyword", pa.string()),
-        ("category", pa.string()),
-        ("polarity", pa.string()),  # 'include' | 'exclude'
-    ]
-)
-
-
-def empty_table(schema: pa.Schema) -> pa.Table:
-    """A zero-row table with the given schema (the reference's empty-file
-    initializer K2 equivalent — sinks always have a well-formed shape)."""
-    return schema.empty_table()

@@ -234,9 +234,25 @@ def golden_approx_value_quantiles_daily(sf_dir: str) -> pa.Table:
 # ---------------------------------------------------------------------------
 
 EXACT_QS = ((50, 0.50), (90, 0.90), (99, 0.99))
-_SEL_P = 64  # pivot samples per batch per active quantile
-_SEL_CAP = 262_144  # max interior rows fetched by a COLLECT pass
-_SEL_ROUNDS = 8  # narrowing rounds before the bracket-sort fallback
+_FETCH_CAP = 1 << 18  # max candidate keys one fetch pass brings to the driver
+_SIGN = np.uint64(1 << 63)
+
+
+def _order_keys(b: pa.Table) -> np.ndarray:
+    """uint64 keys of a batch's non-null values whose unsigned order is the
+    engine's ORDER BY total order −inf < finite < +inf < NaN: ``+ 0.0``
+    folds −0.0 into 0.0 and every NaN becomes the one canonical NaN, then
+    negative values flip all bits and the others set the sign bit."""
+    v = np.asarray(pc.drop_null(b["value"]).to_numpy(zero_copy_only=False), np.float64) + 0.0
+    v[np.isnan(v)] = np.nan
+    u = v.view(np.uint64)
+    return np.where(u >= _SIGN, ~u, u | _SIGN)
+
+
+def _key_value(key: int) -> float:
+    """The float64 an order key stands for (inverse of ``_order_keys``)."""
+    u = key ^ (1 << 63) if key >> 63 else key ^ ((1 << 64) - 1)
+    return float(np.array([u], np.uint64).view(np.float64)[0])
 
 
 @register(
@@ -249,268 +265,70 @@ _SEL_ROUNDS = 8  # narrowing rounds before the bracket-sort fallback
     """,
 )
 def value_percentiles(sf_dir: str):
-    """EXACT global percentiles by DISTRIBUTED SELECTION — zero shuffle.
-    The order-statistics family member the histogram sketch approximates
+    """EXACT global percentiles by RADIX SELECT over order-preserving
+    64-bit keys (``_order_keys``) — zero shuffle, a fixed pass bound. The
+    order-statistics family member the histogram sketch approximates
     (`approx_value_quantiles_daily` trades exactness for a fixed-size
-    merge); this one keeps exactness but replaces the former all-to-all
-    sort plan with O(rounds) streaming column scans whose outputs are
-    O(batches × pivots) scalars.
-
-    Plan per round (active quantiles share every pass, and quantiles whose
-    brackets coincide — all three in round 1 by construction — share ONE
-    bracket's sample/rank work):
-      1. SAMPLE pass — each batch sorts its in-bracket values locally and
-         emits ≤``_SEL_P`` evenly-spaced pivots + its count (tiny rows).
-         Round 1 additionally counts the non-finite population (−inf /
-         +inf / NaN) once per batch.
-      2. RANK pass — with the merged distinct pivot list broadcast in the
-         closure, each batch emits ``searchsorted`` left/right ranks of
-         every pivot (one fixed-size int row per batch); the driver sums
-         them into global ranks.
-      3. NARROW — per quantile: if some pivot p has rank_lt(p) ≤ k <
-         rank_le(p) the answer IS p (duplicate-heavy data resolves here);
-         otherwise shrink the bracket to the adjacent-pivot open interval,
-         which per-batch even sampling bounds at ~n/( _SEL_P−1 ) + #batches
-         rows. Brackets under ``_SEL_CAP`` go to one COLLECT pass (fetch
-         the few interior values, local sort, index k − rank_le(lo));
-         larger ones re-enter round 1 restricted to the bracket.
-    A quantile still unresolved after ``_SEL_ROUNDS`` (possible only when
-    the interior floor — one pivot gap per batch — exceeds the collect
-    cap, i.e. block count ≈ _SEL_CAP) falls back to a distributed sort OF
-    ITS BRACKET ONLY plus metadata-offset selection: exact, bounded by the
-    bracket size, and loud about nothing — never a silent null.
+    merge).
 
     DuckDB's ``quantile_disc`` selects the element at ``ceil(q*n) − 1`` in
-    value order over NON-NULL values (verified empirically incl. duplicate
-    runs); nulls are dropped inside every pass so the offset arithmetic
-    matches the oracle's population. Non-finite values follow the engine's
-    ORDER BY total order (−inf < finite < +inf < NaN): the round-1 counts
-    short-circuit targets landing in a non-finite run, and the selection
-    recursion runs over the finite population only. ±inf parity with
-    DuckDB is exact (IEEE comparisons); NaN placement is a convention —
-    DuckDB's quantile_disc itself is comparator-unstable when NaNs are
-    present (observed: k=3→−inf, k=4→NaN, k=6→−inf on one table), so
-    there is no well-defined oracle to match there. An empty (or all-null)
-    population returns one all-NULL row, as the SQL aggregate does."""
+    ORDER BY order over NON-NULL values; nulls are dropped in every pass.
+    Each HISTOGRAM pass is one ``map_batches`` (one batch per block) that
+    counts the next 16-bit digit of the keys under every quantile's current
+    prefix (``np.bincount``, nonzero digits only); the driver sums the
+    per-block rows, and each quantile moves to the digit holding its rank.
+    The first pass also gives n. Once the keys under the live prefixes
+    number at most ``_FETCH_CAP``, one FETCH pass brings them to the driver
+    to be sorted; otherwise the fourth histogram pass fixes the whole key.
+    So the plan runs at most four histogram passes and one fetch pass.
+    ±inf place as in DuckDB; NaN sorts last, −0.0 reads as 0.0. An empty
+    (or all-null) population returns one all-NULL row, as the SQL
+    aggregate does."""
     ds = read(sf_dir, "events", ["value"])
+    prefix = {lbl: 0 for lbl, _ in EXACT_QS}  # known top key bits per quantile
+    rank: dict[int, int] = {}  # 0-based rank among the keys under the prefix
+    for level in range(4):
+        shift = 48 - 16 * level  # the prefix after this pass is key >> shift
+        live = sorted(set(prefix.values()))
 
-    # state per quantile label:
-    #   [k_remaining, lo, hi, resolved_value, collectable, done]
-    # target = (k_remaining)-th 0-based FINITE value in {v : lo < v < hi}
-    state: dict[int, list] = {}
-    first = True
+        def hist(b: pa.Table, live=live, shift=shift) -> pa.Table:
+            keys = _order_keys(b)
+            out = {"p": [], "d": [], "c": []}
+            for p in live:
+                sel = keys if shift == 48 else keys[keys >> np.uint64(shift + 16) == np.uint64(p)]
+                c = np.bincount(((sel >> np.uint64(shift)) & np.uint64(0xFFFF)).astype(np.int64))
+                d = np.flatnonzero(c)
+                out["p"].append(np.full(len(d), p, np.uint64))
+                out["d"].append(d)
+                out["c"].append(c[d])
+            return pa.table({k: np.concatenate(v) for k, v in out.items()})
 
-    for _round in range(_SEL_ROUNDS):
-        if first:
-            need = [(lbl, -np.inf, np.inf) for lbl, _ in EXACT_QS]
-        else:
-            need = [
-                (lbl, st[1], st[2])
-                for lbl, st in state.items()
-                if not st[5] and not st[4]
-            ]
-            if not need:
-                break
-        # identical brackets (all of round 1; coinciding quantiles later)
-        # are sampled/ranked ONCE: qi indexes the distinct bracket list
-        brackets = sorted({(float(lo), float(hi)) for _, lo, hi in need})
-        br_of = {lbl: brackets.index((float(lo), float(hi))) for lbl, lo, hi in need}
+        h = ds.map_batches(hist, batch_format="pyarrow").to_pandas()
+        if h.empty:  # no non-null value: NULL, like the SQL aggregate
+            return pa.table({f"p{lbl}": pa.nulls(1, pa.float64()) for lbl, _ in EXACT_QS})
+        h = h.groupby(["p", "d"], as_index=False)["c"].sum()
+        if level == 0:
+            n = int(h["c"].sum())
+            rank = {lbl: max(0, int(np.ceil(q * n)) - 1) for lbl, q in EXACT_QS}
+        under: dict[int, int] = {}  # new prefix -> number of keys under it
+        for lbl in prefix:
+            g = h[h["p"] == prefix[lbl]]
+            cum = g["c"].cumsum().to_numpy()
+            i = int(np.searchsorted(cum, rank[lbl], side="right"))
+            rank[lbl] -= int(cum[i - 1]) if i else 0
+            prefix[lbl] = (prefix[lbl] << 16) | int(g["d"].iloc[i])
+            under[prefix[lbl]] = int(g["c"].iloc[i])
+        if level < 3 and sum(under.values()) <= _FETCH_CAP:
 
-        def sample(b: pa.Table, brs=tuple(brackets), count_nonfin=first) -> pa.Table:
-            v = pc.drop_null(b["value"]).to_numpy(zero_copy_only=False)
-            fin = v[np.isfinite(v)]
-            qi_out, piv_out, cnt_out = [], [], []
-            for i, (lo, hi) in enumerate(brs):
-                s = np.sort(fin[(fin > lo) & (fin < hi)])
-                take = min(_SEL_P, len(s))
-                idx = (
-                    np.linspace(0, len(s) - 1, take).astype(np.int64)
-                    if take
-                    else np.array([], dtype=np.int64)
-                )
-                qi_out.append(i)
-                piv_out.append(s[idx])
-                cnt_out.append(len(s))
-            t = {
-                "qi": pa.array(qi_out, pa.int64()),
-                "cnt": pa.array(cnt_out, pa.int64()),
-                "pivots": pa.array(
-                    [p.tolist() for p in piv_out], pa.list_(pa.float64())
-                ),
-            }
-            if count_nonfin:  # round 1 only: the −inf/+inf/NaN population
-                t["n_neg"] = pa.array([int(np.sum(v == -np.inf))] * len(qi_out))
-                t["n_pos"] = pa.array([int(np.sum(v == np.inf))] * len(qi_out))
-                t["n_nan"] = pa.array([int(np.sum(np.isnan(v)))] * len(qi_out))
-            return pa.table(t)
+            def fetch(b: pa.Table, live=np.array(sorted(under), np.uint64), shift=shift):
+                keys = _order_keys(b)
+                return pa.table({"k": keys[np.isin(keys >> np.uint64(shift), live)]})
 
-        samp = (
-            ds.map_batches(sample, batch_format="pyarrow").to_pandas()
-        )  # O(batches × brackets) tiny rows
-        if "qi" not in samp.columns:  # zero-block input: schema-less empty
-            samp = pd.DataFrame(
-                {"qi": pd.Series([], dtype="int64"),
-                 "cnt": pd.Series([], dtype="int64"),
-                 "pivots": pd.Series([], dtype="object"),
-                 "n_neg": pd.Series([], dtype="int64"),
-                 "n_pos": pd.Series([], dtype="int64"),
-                 "n_nan": pd.Series([], dtype="int64")}
-            )
-        pivots: list[np.ndarray] = []
-        counts: list[int] = []
-        for i in range(len(brackets)):
-            part = samp[samp["qi"] == i]
-            counts.append(int(part["cnt"].sum()))
-            merged = (
-                np.unique(np.concatenate([np.asarray(p) for p in part["pivots"]]))
-                if len(part)
-                else np.array([], dtype=np.float64)
-            )
-            pivots.append(merged)
-
-        if first:
-            part0 = samp[samp["qi"] == 0]
-            n_neg = int(part0["n_neg"].sum())
-            n_pos = int(part0["n_pos"].sum())
-            n_nan = int(part0["n_nan"].sum())
-            n_fin = counts[0]
-            n = n_neg + n_fin + n_pos + n_nan
-            for (lbl, q) in EXACT_QS:
-                # [k_rem, lo, hi, resolved, collectable, done]
-                st = [0, -np.inf, np.inf, None, False, False]
-                state[lbl] = st
-                if n == 0:  # empty population: NULL, like the SQL aggregate
-                    st[5] = True
-                    continue
-                k = max(0, int(np.ceil(q * n)) - 1)
-                # DuckDB total order: −inf < finite < +inf < NaN
-                if k < n_neg:
-                    st[3], st[5] = float(-np.inf), True
-                elif k < n_neg + n_fin:
-                    st[0] = k - n_neg  # select within the finite run
-                elif k < n_neg + n_fin + n_pos:
-                    st[3], st[5] = float(np.inf), True
-                else:
-                    st[3], st[5] = float(np.nan), True
-            first = False
-            if all(st[5] for st in state.values()):
-                break
-            # quantiles resolved by the non-finite runs leave the bracket
-            # list over-complete only in round 1 (all brackets coincide)
-
-        def ranks(b: pa.Table, brs=tuple(brackets), pvs=tuple(
-            tuple(p.tolist()) for p in pivots
-        )) -> pa.Table:
-            v = pc.drop_null(b["value"]).to_numpy(zero_copy_only=False)
-            fin = v[np.isfinite(v)]
-            qi_out, le_out, lt_out = [], [], []
-            for i, (lo, hi) in enumerate(brs):
-                s = np.sort(fin[(fin > lo) & (fin < hi)])
-                p = np.asarray(pvs[i])
-                qi_out.append(i)
-                le_out.append(np.searchsorted(s, p, side="right").tolist())
-                lt_out.append(np.searchsorted(s, p, side="left").tolist())
-            return pa.table(
-                {
-                    "qi": pa.array(qi_out, pa.int64()),
-                    "le": pa.array(le_out, pa.list_(pa.int64())),
-                    "lt": pa.array(lt_out, pa.list_(pa.int64())),
-                }
-            )
-
-        rk = ds.map_batches(ranks, batch_format="pyarrow").to_pandas()
-        for lbl, _blo, bhi in need:
-            st = state[lbl]
-            if st[5]:  # resolved by the round-1 non-finite short-circuit
-                continue
-            i = br_of[lbl]
-            part = rk[rk["qi"] == i]
-            p = pivots[i]
-            if len(p) == 0:  # empty bracket: duplicate endpoint resolved it
-                st[3], st[5] = float(bhi), True
-                continue
-            rank_le = np.sum(np.stack(part["le"].to_numpy()), axis=0)
-            rank_lt = np.sum(np.stack(part["lt"].to_numpy()), axis=0)
-            k = st[0]
-            hit = (rank_lt <= k) & (k < rank_le)
-            if hit.any():
-                st[3], st[5] = float(p[int(np.argmax(hit))]), True
-                continue
-            # lo: max pivot with rank_le ≤ k (else bracket lo); hi: min
-            # pivot with rank_le > k (exists: rank_le[-1] = bracket count
-            # > k, else k would have hit or the bracket is inconsistent)
-            lo_cands = np.flatnonzero(rank_le <= k)
-            if len(lo_cands):
-                st[1] = float(p[lo_cands[-1]])
-                st[0] = int(k - rank_le[lo_cands[-1]])
-            hi_idx = int(np.argmax(rank_le > k))
-            st[2] = float(p[hi_idx])
-            interior = int(rank_lt[hi_idx] - (rank_le[lo_cands[-1]] if len(lo_cands) else 0))
-            st[4] = interior <= _SEL_CAP
-
-        to_collect = [
-            (lbl, st[1], st[2])
-            for lbl, st in state.items()
-            if not st[5] and st[4]
-        ]
-        if to_collect:
-            cbr = tuple((float(lo), float(hi)) for _, lo, hi in to_collect)
-
-            def collect(b: pa.Table, brs=cbr) -> pa.Table:
-                v = pc.drop_null(b["value"]).to_numpy(zero_copy_only=False)
-                fin = v[np.isfinite(v)]
-                qi_out, v_out = [], []
-                for i, (lo, hi) in enumerate(brs):
-                    m = fin[(fin > lo) & (fin < hi)]
-                    qi_out.append(np.full(len(m), i, dtype=np.int64))
-                    v_out.append(m)
-                return pa.table(
-                    {
-                        "qi": pa.array(np.concatenate(qi_out), pa.int64()),
-                        "value": pa.array(
-                            np.concatenate(v_out).astype(np.float64), pa.float64()
-                        ),
-                    }
-                )
-
-            got = ds.map_batches(collect, batch_format="pyarrow").to_pandas()
-            for i, (lbl, _, _) in enumerate(to_collect):
-                vals = np.sort(got.loc[got["qi"] == i, "value"].to_numpy())
-                state[lbl][3] = float(vals[state[lbl][0]])
-                state[lbl][5] = True
-
-    # loud exact fallback (reachable only when the interior floor of one
-    # pivot gap per batch exceeds _SEL_CAP, i.e. ~262k input blocks):
-    # distributed sort of the BRACKET ONLY + metadata-offset selection —
-    # never a silent null for a non-empty population
-    for lbl, st in state.items():
-        if not st[5]:
-            st[3] = _bracket_sort_select(ds, st[1], st[2], st[0])
-            st[5] = True
-
+            got = ds.map_batches(fetch, batch_format="pyarrow").to_pandas()
+            got = np.sort(got["k"].to_numpy(np.uint64))
+            for lbl, p in prefix.items():  # the prefix's keys are one sorted run
+                prefix[lbl] = int(got[np.searchsorted(got, np.uint64(p << shift)) + rank[lbl]])
+            break
     return pa.table(
-        {f"p{lbl}": pa.array([state[lbl][3]], pa.float64()) for lbl, _ in EXACT_QS}
-    )
-
-
-def _bracket_sort_select(ds, lo: float, hi: float, k: int) -> float:
-    """Exact (k)-th 0-based finite value in the open bracket (lo, hi) by a
-    distributed sort of the bracket's rows only: filter → range sort →
-    walk the sorted batches in order with a running offset, stopping at
-    the batch that holds offset k."""
-
-    def in_bracket(b: pa.Table, lo=lo, hi=hi) -> pa.Table:
-        v = pc.drop_null(b["value"]).to_numpy(zero_copy_only=False)
-        m = v[np.isfinite(v) & (v > lo) & (v < hi)]
-        return pa.table({"value": pa.array(m.astype(np.float64), pa.float64())})
-
-    sub = ds.map_batches(in_bracket, batch_format="pyarrow").sort("value").materialize()
-    off = int(k)
-    for b in sub.iter_batches(batch_size=None, batch_format="pyarrow"):
-        if off < b.num_rows:
-            return float(b["value"][off].as_py())
-        off -= b.num_rows
-    raise RuntimeError(
-        f"bracket selection ran past the data (k={k}, bracket=({lo}, {hi})) — "
-        "rank bookkeeping is inconsistent"
+        {f"p{lbl}": pa.array([_key_value(prefix[lbl])], pa.float64()) for lbl, _ in EXACT_QS}
     )

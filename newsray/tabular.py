@@ -9,6 +9,8 @@ keys stay with their operators."""
 
 from __future__ import annotations
 
+import functools
+import glob
 import hashlib
 import json
 import os
@@ -314,16 +316,30 @@ def bucket_join(left, right, on, nb: int, reduce, out) -> rd.Dataset:
     )
 
 
+@functools.cache
+def _code_digest() -> str:
+    """blake2b of every ``newsray/*.py`` source, once per process: an index
+    marker names the code that built the index."""
+    h = hashlib.blake2b(digest_size=16)
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "*.py"))):
+        with open(path, "rb") as f:
+            h.update(os.path.basename(path).encode() + b"\0" + f.read())
+    return h.hexdigest()
+
+
 def idempotent_partitioned_build(out_dir: str, want: dict, build_fn) -> str:
     """ONE home for the fingerprint-markered idempotent partitioned-index
     build (ANN signature index, RAG chunk index, lexical postings).
     ``build_fn(tmp_dir)`` writes a COMPLETE tree into a private ``mkdtemp``
     dir (e.g. ``ds.write_parquet(tmp_dir, partition_cols=[...])``); the
-    marker ``_built.json``, written last, holds the caller's fingerprint and
+    marker ``_built.json``, written last, holds the caller's fingerprint,
+    ``_code`` (the ``_code_digest`` of the code that built it) and
     ``_partitions``, the partition dirs the build wrote. The old tree is
     renamed aside and the new one in, so a reader sees a complete tree or
-    none and nothing is copied; a matching fingerprint serves the existing
-    (or a racing winner's) tree. Build and aside dirs go on every exit."""
+    none and nothing is copied; a matching marker serves the existing (or
+    a racing winner's) tree. Build and aside dirs go on every exit."""
+    want = {**want, "_code": _code_digest()}
+
     def _marker_matches() -> bool:
         try:
             with open(os.path.join(out_dir, "_built.json")) as f:

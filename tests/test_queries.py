@@ -500,11 +500,13 @@ import ray.data
 ray.init(address="local", num_cpus=int(sys.argv[1]), include_dashboard=False,
          logging_level="ERROR")
 ray.data.DataContext.get_current().enable_progress_bars = False
+from newsray import ragprep
 from newsray.golden import GOLDENS
 from newsray.multimodal import media_features, video_frame_sample
 
 sf = sys.argv[2]
-for fn in (media_features, video_frame_sample):
+ragprep.CHUNK_INDEX_ROOT = sys.argv[3]  # empty: the chunk index is built cold
+for fn in (media_features, video_frame_sample, ragprep.chunk_embed_index):
     got = pa.concat_tables(b for b in ray.get(fn(sf).to_arrow_refs()) if b.num_columns)
     want = GOLDENS[fn.__name__](sf)
     order = [(c, "ascending") for c in want.column_names]
@@ -515,11 +517,13 @@ ray.shutdown()
 
 
 @pytest.mark.parametrize("num_cpus", [1, 2])
-def test_media_actor_pools_finish_at_one_and_two_cpus(num_cpus):
-    """The two actor-pool queries finish, equal to their golden recompute,
-    in a session of one or two CPUs: their pools must not hold the CPUs
-    the read feeding them needs (both hung before, at 1 and at 2 CPUs).
-    A fresh process owns the small session; the timeout is the deadline."""
+def test_media_actor_pools_finish_at_one_and_two_cpus(num_cpus, tmp_path):
+    """The three actor-pool queries finish, equal to their golden
+    recompute, in a session of one or two CPUs: their pools must not hold
+    the CPUs the read feeding them needs (the media pools hung before at 1
+    and 2 CPUs, and the chunk index's embedder pool at 2). The chunk index
+    is built cold in a fresh root. A fresh process owns the small session;
+    the timeout is the deadline."""
     import os
     import subprocess
     import sys
@@ -527,7 +531,7 @@ def test_media_actor_pools_finish_at_one_and_two_cpus(num_cpus):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     sf = os.path.join(os.path.dirname(SF), "sf0.01")
     r = subprocess.run(
-        [sys.executable, "-c", MEDIA_AT_CPUS, str(num_cpus), sf],
+        [sys.executable, "-c", MEDIA_AT_CPUS, str(num_cpus), sf, str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=240,
@@ -535,116 +539,114 @@ def test_media_actor_pools_finish_at_one_and_two_cpus(num_cpus):
         env={**os.environ, "PYTHONPATH": root},
     )
     assert r.returncode == 0, r.stderr[-2000:]
-    got = [ln.split() for ln in r.stdout.splitlines() if ln.startswith(("media", "video"))]
+    got = [ln.split() for ln in r.stdout.splitlines() if ln.startswith(("media", "video", "chunk"))]
     assert [(name, ok) for name, _, ok in got] == [
         ("media_features", "True"),
         ("video_frame_sample", "True"),
+        ("chunk_embed_index", "True"),
     ], r.stdout
 
 
+def _percentile_events(d, col) -> str:
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    d.mkdir()
+    table = pa.table({"value": pa.array(col, pa.float64())})
+    pq.write_table(table, d / "events.parquet", row_group_size=4096)
+    return str(d)
+
+
+def _duckdb_percentiles(sf_dir: str) -> tuple:
+    import duckdb
+
+    return duckdb.connect().execute(
+        "SELECT quantile_disc(value, 0.50), quantile_disc(value, 0.90),"
+        f" quantile_disc(value, 0.99) FROM read_parquet('{sf_dir}/events.parquet')"
+    ).fetchone()
+
+
 def test_value_percentiles_selection_nulls_dups_rounds(ray_session, tmp_path, monkeypatch):
-    """Distributed-selection percentiles: nulls are excluded from the offset
-    population (quantile_disc semantics), duplicate-heavy data resolves on
-    the pivot-hit path, and a tiny _SEL_CAP forces the multi-round narrow
-    loop — all three must return the exact nearest-rank element."""
+    """Radix-select percentiles return the exact nearest-rank element at
+    every fetch cap: nulls stay outside the offset population
+    (quantile_disc semantics), a heavy duplicate run and 30,000 adjacent
+    doubles sharing their top 48 key bits resolve, and a cap of 16 or 0
+    forces more histogram passes (at 0 all four run, with no fetch). The
+    plan never runs more than four histogram passes and one fetch pass."""
     import math
 
     import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
+    import ray.data as rd
 
     import newsray.sketch as sketch
 
     rng = np.random.RandomState(7)
-    vals = np.concatenate(
-        [
-            rng.normal(100.0, 25.0, 20_000),
-            np.full(5_000, 123.456),  # heavy duplicate → pivot-hit path
-        ]
-    )
-    col = vals.tolist() + [None] * 500  # nulls must not shift offsets
-    d = tmp_path / "sfvp"
-    d.mkdir()
-    pq.write_table(pa.table({"value": pa.array(col, pa.float64())}), d / "events.parquet")
+    dups = np.concatenate([rng.normal(100.0, 25.0, 20_000), np.full(5_000, 123.456)])
+    first = np.float64(1.2345).view(np.uint64) >> np.uint64(16) << np.uint64(16)
+    adjacent = rng.permutation((first + np.arange(30_000, dtype=np.uint64)).view(np.float64))
+    passes = []
+    real_map_batches = rd.Dataset.map_batches
 
-    s = np.sort(vals)
-    want = {
-        f"p{lbl}": s[max(0, math.ceil(q * len(s)) - 1)] for lbl, q in sketch.EXACT_QS
-    }
+    def counted(self, fn, *a, **kw):
+        passes.append(fn.__name__)
+        return real_map_batches(self, fn, *a, **kw)
 
-    for cap, p in ((262_144, 64), (16, 8)):  # big cap: 1 round; tiny: multi-round
-        monkeypatch.setattr(sketch, "_SEL_CAP", cap)
-        monkeypatch.setattr(sketch, "_SEL_P", p)
-        got = sketch.value_percentiles(str(d)).to_pandas().iloc[0]
-        for k, v in want.items():
-            assert got[k] == v, (cap, p, k, got[k], v)
+    monkeypatch.setattr(rd.Dataset, "map_batches", counted)
+    for name, vals in (("dups", dups), ("adjacent", adjacent)):
+        d = _percentile_events(tmp_path / name, vals.tolist() + [None] * 500)
+        s = np.sort(vals)
+        want = [s[max(0, math.ceil(q * len(s)) - 1)] for _, q in sketch.EXACT_QS]
+        assert want == list(_duckdb_percentiles(d))
+        for cap in (1 << 18, 16, 0):
+            monkeypatch.setattr(sketch, "_FETCH_CAP", cap)
+            passes.clear()
+            got = list(sketch.value_percentiles(d).to_pylist()[0].values())
+            assert got == want, (name, cap, got, want)
+            hist = passes.count("hist")  # a fetch ends every plan of < 4 passes
+            assert hist <= 4 and passes == ["hist"] * hist + ["fetch"] * (hist < 4), passes
+            if cap == 0:
+                assert passes == ["hist"] * 4, (name, passes)
 
 
-def test_value_percentiles_nonfinite_empty_fallback(ray_session, tmp_path, monkeypatch):
-    """Hardening paths of the selection plan: (a) ±inf values are placed by
-    the ORDER BY total order and match DuckDB's quantile_disc exactly;
-    (b) an empty / all-null population returns one all-NULL row like the
-    SQL aggregate; (c) a zero collect-cap leaves quantiles unresolved after
-    the narrowing rounds and the bracket-sort fallback still returns the
-    exact nearest-rank element (never a silent null)."""
+def test_value_percentiles_nonfinite_zeros_empty(ray_session, tmp_path, monkeypatch):
+    """The key order is the engine's ORDER BY total order: (a) ±inf place
+    as DuckDB's quantile_disc places them; (b) −0.0 and 0.0 are one value,
+    read as 0.0; (c) NaN sorts after +inf (DuckDB's quantile_disc is
+    comparator-unstable with NaNs, so the reference is numpy's sort, which
+    also puts NaN last); (d) an empty or all-null population returns one
+    all-NULL row, like the SQL aggregate. Each at the default fetch cap
+    and at 0, where all four histogram passes run."""
     import math
 
-    import duckdb
     import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
 
     import newsray.sketch as sketch
 
-    # (a) ±inf parity with DuckDB (no NaN: its quantile_disc is
-    # comparator-unstable with NaNs — no defined oracle there)
     rng = np.random.RandomState(11)
-    vals = np.concatenate(
-        [np.full(40, -np.inf), rng.uniform(0, 100, 3000), np.full(700, np.inf)]
+    inf = np.concatenate([np.full(40, -np.inf), rng.uniform(0, 100, 3000), np.full(700, np.inf)])
+    zeros = np.concatenate([np.full(300, -0.0), np.full(300, 0.0), rng.normal(0, 1, 400)])
+    nan = np.concatenate(
+        [rng.normal(0, 1, 960), np.full(20, np.inf), np.full(10, np.nan), np.full(10, -np.nan)]
     )
-    d = tmp_path / "sfinf"
-    d.mkdir()
-    pq.write_table(
-        pa.table({"value": pa.array(vals.tolist(), pa.float64())}),
-        d / "events.parquet",
-    )
-    got = sketch.value_percentiles(str(d)).to_pandas().iloc[0]
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{d}/events.parquet')"
-    )
-    want = con.execute(
-        "SELECT quantile_disc(value, 0.50) AS p50,"
-        "       quantile_disc(value, 0.90) AS p90,"
-        "       quantile_disc(value, 0.99) AS p99 FROM events"
-    ).df().iloc[0]
-    for k in ("p50", "p90", "p99"):
-        assert got[k] == want[k], (k, got[k], want[k])
-
-    # (b) empty and all-null populations → one all-NULL row
-    for name, col in (("sfempty", []), ("sfnull", [None] * 64)):
-        dd = tmp_path / name
-        dd.mkdir()
-        pq.write_table(
-            pa.table({"value": pa.array(col, pa.float64())}), dd / "events.parquet"
-        )
-        row = sketch.value_percentiles(str(dd)).to_pandas().iloc[0]
-        assert row.isna().all(), (name, row)
-
-    # (c) collect cap 0 → nothing is ever collectable → bracket-sort fallback
-    dsel = tmp_path / "sffb"
-    dsel.mkdir()
-    fvals = rng.normal(50.0, 9.0, 8000)
-    pq.write_table(
-        pa.table({"value": pa.array(fvals.tolist(), pa.float64())}),
-        dsel / "events.parquet",
-    )
-    monkeypatch.setattr(sketch, "_SEL_CAP", 0)
-    monkeypatch.setattr(sketch, "_SEL_ROUNDS", 2)
-    s = np.sort(fvals)
-    got = sketch.value_percentiles(str(dsel)).to_pandas().iloc[0]
-    for lbl, q in sketch.EXACT_QS:
-        assert got[f"p{lbl}"] == s[max(0, math.ceil(q * len(s)) - 1)]
+    dirs = {
+        name: _percentile_events(tmp_path / name, vals.tolist())
+        for name, vals in (("inf", rng.permutation(inf)), ("zeros", zeros), ("nan", nan))
+    }
+    empty = [_percentile_events(tmp_path / n, c) for n, c in (("e", []), ("n", [None] * 64))]
+    for cap in (1 << 18, 0):
+        monkeypatch.setattr(sketch, "_FETCH_CAP", cap)
+        got = {n: list(sketch.value_percentiles(d).to_pylist()[0].values()) for n, d in dirs.items()}
+        assert got["inf"] == list(_duckdb_percentiles(dirs["inf"])), (cap, got)
+        assert got["inf"][2] == np.inf
+        assert got["zeros"] == list(_duckdb_percentiles(dirs["zeros"])), (cap, got)
+        assert got["zeros"][0] == 0.0 and math.copysign(1, got["zeros"][0]) == 1, got
+        s = np.sort(nan)
+        want = [s[math.ceil(q * len(s)) - 1] for _, q in sketch.EXACT_QS]
+        assert want[1] < np.inf and math.isnan(want[2])
+        assert got["nan"][:2] == want[:2] and math.isnan(got["nan"][2]), (cap, got)
+        for d in empty:
+            row = sketch.value_percentiles(d).to_pylist()
+            assert row == [{"p50": None, "p90": None, "p99": None}], (cap, d, row)
 
 
 def test_doc_pii_redact_on_real_pii(ray_session, tmp_path):
@@ -777,14 +779,16 @@ def test_idempotent_partitioned_build_race_loser(tmp_path, monkeypatch):
     a racing winner (the winner renames its complete tree + matching marker
     in between the loser's two renames) serves the winner's tree and cleans
     its own temp dirs — never a mixed in-place write, never an error for an
-    identical fingerprint."""
+    identical fingerprint. The marker names the code that built the tree:
+    the same fingerprint under another code digest rebuilds."""
     import json
     import os
 
-    from newsray.tabular import idempotent_partitioned_build
+    from newsray.tabular import _code_digest, idempotent_partitioned_build
 
     out = str(tmp_path / "idx")
     want = {"v": 2}
+    code = {"_code": _code_digest()}
     # stale prior build (fingerprint mismatch -> rebuild path)
     os.makedirs(out)
     with open(os.path.join(out, "_built.json"), "w") as f:
@@ -801,18 +805,27 @@ def test_idempotent_partitioned_build_race_loser(tmp_path, monkeypatch):
         if src == out:  # the racing winner renames ITS complete tree in
             os.makedirs(out)
             with open(os.path.join(out, "_built.json"), "w") as f:
-                json.dump({**want, "_partitions": 0}, f)
+                json.dump({**want, **code, "_partitions": 0}, f)
 
     monkeypatch.setattr(os, "rename", winner_reappears)
     got = idempotent_partitioned_build(out, want, build)
     assert got == out
-    assert json.load(open(os.path.join(out, "_built.json"))) == {**want, "_partitions": 0}
+    assert json.load(open(os.path.join(out, "_built.json"))) == {**want, **code, "_partitions": 0}
     assert not os.path.exists(os.path.join(out, "part.parquet"))  # the winner's tree
     assert os.listdir(tmp_path) == ["idx"]  # loser's build and aside dirs removed
     # and a plain rebuild-on-mismatch still works with rename restored
     monkeypatch.setattr(os, "rename", real_rename)
     got = idempotent_partitioned_build(out, {"v": 3}, build)
-    assert json.load(open(os.path.join(out, "_built.json"))) == {"v": 3, "_partitions": 0}
+    marker = {"v": 3, **code, "_partitions": 0}
+    assert json.load(open(os.path.join(out, "_built.json"))) == marker
+    assert os.path.exists(os.path.join(out, "part.parquet"))
+    assert os.listdir(tmp_path) == ["idx"]
+    # the same fingerprint built by other code is rebuilt, not served
+    os.remove(os.path.join(out, "part.parquet"))
+    with open(os.path.join(out, "_built.json"), "w") as f:
+        json.dump({**marker, "_code": "0" * 32}, f)
+    idempotent_partitioned_build(out, {"v": 3}, build)
+    assert json.load(open(os.path.join(out, "_built.json"))) == marker
     assert os.path.exists(os.path.join(out, "part.parquet"))
     assert os.listdir(tmp_path) == ["idx"]
 

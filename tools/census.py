@@ -3,16 +3,21 @@
 Walks ``newsray/*.py`` and lists every top-level function and class and
 every class method. A definition counts as used when its name is referenced
 outside its own body anywhere in ``newsray/``, ``bench.py``,
-``__ray_entry__.py``, ``perfbench/`` or ``tools/``: as a name, an
-attribute, an imported name, or a string that spells it (``perfbench``
-wraps layers by strings such as ``"CrawlPipeline.run"``). A method counts
-attribute references only, which also catches actor methods reached
-through ``handle.<name>.remote()``. ``tests/`` does not count: code that
-only tests call is dead code plus its tests.
+``__ray_entry__.py``, ``perfbench/`` or ``tools/``: as a name, an imported
+name, or a string that spells it (``perfbench`` wraps layers by strings
+such as ``"CrawlPipeline.run"``). A top-level definition also counts an
+attribute whose base is a name the file binds its module to (``from .
+import sink`` then ``sink.<name>``; ``import newsray.sketch as sketch``;
+``from . import checkpoint as ckpt``), so ``pa.Schema.empty_table()`` does
+not keep a ``schema.empty_table`` alive. A method counts attribute
+references only, whatever their base, which also catches actor methods
+reached through ``handle.<name>.remote()``. ``tests/`` does not count:
+code that only tests call is dead code plus its tests.
 
-Matching is by name, not by scope, so a definition sharing its name with a
-used one is missed, and so is one called only from other unused code; the
-census errs towards "used".
+Matching is by name, not by scope, so a method sharing its name with a
+used attribute is missed (telling them apart needs types), and so is a
+definition called only from other unused code; the census errs towards
+"used".
 
 Usage: python tools/census.py   (prints each unused definition that is not
 allowed below; exit status 1 if any)
@@ -47,22 +52,51 @@ def _py_files(rel: str):
         yield from (os.path.join(root, f) for f in sorted(files) if f.endswith(".py"))
 
 
-def _references(tree: ast.AST) -> list[tuple[str, int, bool]]:
-    """(name, line, is_attribute) of every name, attribute, imported name
-    and identifier-shaped string constant in a module. Strings count as
-    both kinds."""
+def _module_aliases(tree: ast.AST, modules: set[str]) -> dict[str, str]:
+    """Name (dotted, for a plain ``import newsray.x``) -> newsray module it
+    is bound to, over every import in a file."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            (node.level == 1 and node.module is None)
+            or (node.level == 0 and node.module == "newsray")
+        ):
+            for a in node.names:
+                if a.name in modules:
+                    out[a.asname or a.name] = a.name
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name == "newsray" or a.name.startswith("newsray."):
+                    out[a.asname or a.name] = a.name.partition(".")[2] or "__init__"
+    return out
+
+
+def _dotted(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and (base := _dotted(node.value)):
+        return f"{base}.{node.attr}"
+    return None
+
+
+def _references(tree: ast.AST, modules: set[str]) -> list[tuple[str, int, bool, str | None]]:
+    """(name, line, is_attribute, module) of every name, attribute, imported
+    name and identifier-shaped string constant in a module; ``module`` is
+    the newsray module an attribute's base is bound to, else None. Strings
+    count as both kinds."""
+    aliases = _module_aliases(tree, modules)
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno, False))
+            out.append((node.id, node.lineno, False, None))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno, True))
+            out.append((node.attr, node.lineno, True, aliases.get(_dotted(node.value))))
         elif isinstance(node, ast.alias):
-            out.append((node.name.rsplit(".", 1)[-1], node.lineno, False))
+            out.append((node.name.rsplit(".", 1)[-1], node.lineno, False, None))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if _DOTTED.fullmatch(node.value):
                 for part in node.value.split("."):
-                    out += [(part, node.lineno, False), (part, node.lineno, True)]
+                    out += [(part, node.lineno, False, None), (part, node.lineno, True, None)]
     return out
 
 
@@ -96,8 +130,10 @@ def census() -> list[tuple[str, str | None]]:
     """Every newsray definition with no non-test reference, with the
     reason it is allowed (None when it is not). A method counts only
     attribute references (``obj.name``): a bare name of the same spelling
-    is some other function."""
-    refs: dict[tuple[str, bool], list[tuple[str, int]]] = {}
+    is some other function. A top-level definition counts bare references
+    and attributes of its own module."""
+    modules = {os.path.basename(p)[: -len(".py")] for p in _py_files("newsray")}
+    refs: dict[tuple[str, bool], list[tuple[str, int, str | None]]] = {}
     trees = {}
     for rel in SCANNED:
         for path in _py_files(rel):
@@ -106,8 +142,8 @@ def census() -> list[tuple[str, str | None]]:
             trees[path] = tree
             if path == os.path.abspath(__file__):
                 continue  # ALLOWED's own strings are not references
-            for name, line, attr in _references(tree):
-                refs.setdefault((name, attr), []).append((path, line))
+            for name, line, attr, mod in _references(tree, modules):
+                refs.setdefault((name, attr), []).append((path, line, mod))
     unused = []
     for path in _py_files("newsray"):
         module = os.path.basename(path)[: -len(".py")]
@@ -115,8 +151,8 @@ def census() -> list[tuple[str, str | None]]:
             own = range(node.lineno, node.end_lineno + 1)
             hits = refs.get((node.name, True), [])
             if "." not in qual:
-                hits = hits + refs.get((node.name, False), [])
-            if any(p != path or line not in own for p, line in hits):
+                hits = [h for h in hits if h[2] == module] + refs.get((node.name, False), [])
+            if any(p != path or line not in own for p, line, _ in hits):
                 continue
             key = f"{module}.{qual}"
             unused.append((key, ALLOWED.get(key, kind_reason)))
