@@ -76,20 +76,6 @@ JACCARD_T = 0.5
 _MERSENNE = (1 << 31) - 1  # 31-bit universe keeps a*x+b inside int64
 
 
-def grid_buckets(n_rows: int, target_side: int, floor: int) -> int:
-    """Pair-grid bucket count for blocked all-pairs ops: smallest power of
-    two B ≥ floor with no grid cell side exceeding ~target_side rows.
-    Per-cell work is (n/B)² and replication is ×B, so B must grow with the
-    DATA (≈ n/target_side), not sit at a constant — a fixed B makes every
-    cell quadratic in corpus size on a fixed cluster. The sequential golden
-    derives B identically from the same row count so BLAS block shapes (and
-    hence float bits) match the distributed plan."""
-    b = floor
-    while n_rows / b > target_side:
-        b <<= 1
-    return b
-
-
 def _perm_params(seed: int = 42) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     a = rng.integers(1, _MERSENNE, size=N_PERM, dtype=np.int64)
@@ -126,86 +112,29 @@ def _shingle_rows(texts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _shingle_lists(texts) -> pa.ListArray:
-    """Each row's ``sorted(_shingles(text))``, as one list<int64> column."""
+    """Each row's ``sorted(_shingles(text))``, as one list<int32> column."""
     row, sh = _shingle_rows(texts)
     key = np.unique(row << 31 | sh)  # shingles are 31-bit: sorted by (row, shingle)
     off = np.zeros(len(texts) + 1, np.int32)
     np.cumsum(np.bincount(key >> 31, minlength=len(texts)), out=off[1:])
-    return pa.ListArray.from_arrays(pa.array(off), pa.array(key & _MERSENNE, pa.int64()))
+    return pa.ListArray.from_arrays(pa.array(off), pa.array(key & _MERSENNE, pa.int32()))
 
 
-def _jaccard_pairs_df(ids: np.ndarray, shs: list[set[int]], thresh: float) -> pd.DataFrame:
-    """Vectorized all-pairs Jaccard within a candidate bucket: doc×shingle
-    incidence matmul for intersections (no Python pair loop — buckets can be
-    large on homogeneous corpora)."""
-    empty = pd.DataFrame(
-        {"doc_a": pd.Series([], dtype="int64"),
-         "doc_b": pd.Series([], dtype="int64"),
-         "jaccard": pd.Series([], dtype="float64")}
-    )
-    if len(ids) < 2:
-        return empty
-    vocab: dict[int, int] = {}
-    for s in shs:
-        for x in s:
-            vocab.setdefault(x, len(vocab))
-    m = np.zeros((len(ids), len(vocab)), dtype=np.int32)
-    for r, s in enumerate(shs):
-        m[r, [vocab[x] for x in s]] = 1
-    inter = m @ m.T
-    sizes = m.sum(axis=1)
-    union = sizes[:, None] + sizes[None, :] - inter
-    jac = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-    iu, ju = np.triu_indices(len(ids), k=1)
-    mask = jac[iu, ju] >= thresh
-    if not mask.any():
-        return empty
-    return pd.DataFrame(
-        {"doc_a": pd.Series(ids[iu[mask]], dtype="int64"),
-         "doc_b": pd.Series(ids[ju[mask]], dtype="int64"),
-         "jaccard": pd.Series(np.round(jac[iu, ju][mask], 4), dtype="float64")}
-    )
-
-
-def _jaccard_pairs_cross_df(
-    ids_a: np.ndarray,
-    shs_a: list[set[int]],
-    ids_b: np.ndarray,
-    shs_b: list[set[int]],
-    thresh: float,
-) -> pd.DataFrame:
-    """Cross-bucket variant of `_jaccard_pairs_df`: every (a-side, b-side)
-    pair ≥ thresh, emitted as (min id, max id) — one grid cell owns each
-    unordered pair exactly once."""
-    empty = pd.DataFrame(
-        {"doc_a": pd.Series([], dtype="int64"),
-         "doc_b": pd.Series([], dtype="int64"),
-         "jaccard": pd.Series([], dtype="float64")}
-    )
-    if len(ids_a) == 0 or len(ids_b) == 0:
-        return empty
-    vocab: dict[int, int] = {}
-    for s in list(shs_a) + list(shs_b):
-        for x in s:
-            vocab.setdefault(x, len(vocab))
-    ma = np.zeros((len(ids_a), len(vocab)), dtype=np.int32)
-    for r, s in enumerate(shs_a):
-        ma[r, [vocab[x] for x in s]] = 1
-    mb = np.zeros((len(ids_b), len(vocab)), dtype=np.int32)
-    for r, s in enumerate(shs_b):
-        mb[r, [vocab[x] for x in s]] = 1
-    inter = ma @ mb.T
-    union = ma.sum(axis=1)[:, None] + mb.sum(axis=1)[None, :] - inter
-    jac = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-    ii, jj = np.nonzero(jac >= thresh)
-    if len(ii) == 0:
-        return empty
-    xa, xb = ids_a[ii], ids_b[jj]
-    return pd.DataFrame(
-        {"doc_a": pd.Series(np.minimum(xa, xb), dtype="int64"),
-         "doc_b": pd.Series(np.maximum(xa, xb), dtype="int64"),
-         "jaccard": pd.Series(np.round(jac[ii, jj], 4), dtype="float64")}
-    )
+def _jaccard_verify(pairs: pd.DataFrame, shs: dict, thresh: float) -> pd.DataFrame:
+    """THE exact Jaccard verify of both candidate-and-verify plans: each
+    (doc_a, doc_b) row of ``pairs`` whose shingle sets in ``shs`` have
+    |a∩b| / |a∪b| ≥ ``thresh``, in ``pairs``' order, with its Jaccard
+    rounded to 4 places."""
+    rows_a, rows_b, rows_j = [], [], []
+    for da, db in zip(pairs["doc_a"].tolist(), pairs["doc_b"].tolist()):
+        sa, sb = shs[da], shs[db]
+        union = len(sa | sb)
+        jac = len(sa & sb) / union if union else 0.0
+        if jac >= thresh:
+            rows_a.append(da)
+            rows_b.append(db)
+            rows_j.append(float(np.round(jac, 4)))
+    return pd.DataFrame({"doc_a": rows_a, "doc_b": rows_b, "jaccard": rows_j})
 
 
 from .golden import golden_sql
@@ -309,18 +238,7 @@ def minhash_pairs_ds(ds, size_bytes: int | None = None):
         shs = _shingle_lists(pa.array(d["text"], pa.string())).to_pylist()
         shs = dict(zip(d["doc_id"].tolist(), map(set, shs)))
         pairs = g[["doc_a", "doc_b"]].drop_duplicates().sort_values(["doc_a", "doc_b"])
-        rows_a, rows_b, rows_j = [], [], []
-        for da, db in zip(pairs["doc_a"].tolist(), pairs["doc_b"].tolist()):
-            if da not in shs or db not in shs:
-                continue  # partial pair (member text missing) — impossible here
-            sa, sb = shs[da], shs[db]
-            union = len(sa | sb)
-            jac = len(sa & sb) / union if union else 0.0
-            if jac >= JACCARD_T:
-                rows_a.append(da)
-                rows_b.append(db)
-                rows_j.append(float(np.round(jac, 4)))
-        return pd.DataFrame({"doc_a": rows_a, "doc_b": rows_b, "jaccard": rows_j})
+        return _jaccard_verify(pairs, shs, JACCARD_T)
 
     return bucket_groups(
         joined, ["doc_a", "doc_b"], B, verify_pairs, {**PAIR, "jaccard": pa.float64()}
@@ -460,65 +378,79 @@ def dedup_simhash(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 
+NGRAM_T = 0.35
+
+
+def _prefix_rows(source, doc_id, sh: pa.ListArray) -> pa.Table:
+    """The prefix filter's rows: one ``(source, tok, doc_id, p, sh)`` row
+    per token of each doc's prefix, its first ``p`` shingles in ``sh``'s
+    order (`_shingle_lists` sorts by hash, one global order), where
+    ``p = n − ⌈NGRAM_T·n⌉ + 1`` of its ``n``. Two docs with Jaccard ≥
+    NGRAM_T share a prefix token. ``sh`` rides along for the verify."""
+    off = sh.offsets.to_numpy()
+    n = np.diff(off)
+    # ⌈NGRAM_T·n⌉ in integers, exact by construction: a prefix one token
+    # short misses a pair at exactly the threshold
+    p = n - (35 * n + 99) // 100 + 1
+    row = np.repeat(np.arange(len(n)), p)
+    pos = off[:-1][row] + np.arange(len(row)) - (np.cumsum(p) - p)[row]
+    idx = pa.array(row)
+    return pa.table(
+        {
+            "source": source.take(idx),
+            "tok": sh.values.take(pa.array(pos)),
+            "doc_id": doc_id.take(idx),
+            "p": pa.array(p[row], pa.int64()),
+            "sh": sh.take(idx),
+        }
+    )
+
+
+def _prefix_pairs(g: pd.DataFrame) -> pd.DataFrame:
+    """The verified pairs of one bucket of `_prefix_rows`: every doc_a <
+    doc_b pair sharing a ``(source, tok)`` group (a null source is one
+    block), kept only in the group of its SMALLEST shared prefix token, so
+    each pair is verified once over all buckets, then `_jaccard_verify`."""
+    key = g.groupby(["source", "tok"], dropna=False, sort=False).ngroup()
+    g = g.assign(key=key)[key.map(key.value_counts()) >= 2]
+    m = g[["key", "tok", "doc_id"]].merge(g[["key", "doc_id"]], on="key", suffixes=("_a", "_b"))
+    m = m[m["doc_id_a"] < m["doc_id_b"]]
+    docs = g.drop_duplicates("doc_id")
+    sh = dict(zip(docs["doc_id"].tolist(), (x.tolist() for x in docs["sh"])))
+    pre = {d: set(sh[d][:p]) for d, p in zip(docs["doc_id"].tolist(), docs["p"].tolist())}
+    own = [
+        min(pre[a] & pre[b]) == t
+        for t, a, b in zip(m["tok"].tolist(), m["doc_id_a"].tolist(), m["doc_id_b"].tolist())
+    ]
+    pairs = m.loc[own, ["doc_id_a", "doc_id_b"]].set_axis(["doc_a", "doc_b"], axis=1)
+    return _jaccard_verify(pairs, {d: set(x) for d, x in sh.items()}, NGRAM_T)
+
+
 @register("ngram_jaccard_by_source", sql=golden_sql("ngram_jaccard_by_source"))
 def ngram_jaccard_by_source(sf_dir: str):
     """Exact 3-gram Jaccard pairs within each `source` block (blocking key
     stands in for the reference's per-site scoping of fuzzy dedup, SURVEY
-    D3), semantics: every same-source pair with Jaccard ≥ 0.35.
+    D3), semantics: every same-source pair with Jaccard ≥ NGRAM_T.
 
-    Scale shape: a naive ``groupby(source)`` would land an ENTIRE source in
-    one pandas group — all-pairs in one task, fatal when one source is a
-    100-TB slice. Instead each doc hash-buckets by id and replicates to the
-    G grid cells that pair its bucket with every other; one groupby on
-    (source, cell_a, cell_b) co-locates two buckets at a time, so per-task
-    work is (n/G)² with G² × sources cells of parallelism (the same
-    pair-grid as `dedup_embedding_cosine`; replication factor = G). G is
-    derived from the corpus size (`grid_buckets`), and what rides the
-    shuffle is each doc's SHINGLE-HASH SET (list<int64>), computed once in
-    the explode — not the G×-replicated raw text. Identical pair set to the
-    per-source all-pairs — golden-oracle value-checked. (The sf0.01 corpus
-    genuinely contains exactly ONE same-source pair at threshold 0.35 —
-    confirmed independently by the sequential brute-force golden.)"""
+    Scale shape: prefix filtering ("Distributed Streaming Set Similarity
+    Join", ICDE 2020): each doc emits one row per prefix token
+    (`_prefix_rows`), ONE bucketed exchange by token co-locates the docs
+    sharing a (source, token), and each bucket verifies its candidates
+    exactly (`_prefix_pairs`). Golden-oracle value-checked; sf0.01 holds
+    exactly one pair."""
+    from .tabular import bucket_groups, n_buckets
+
     ds = read(sf_dir, "documents", ["doc_id", "text", "source"])
-    G = grid_buckets(ds.count(), target_side=20_000, floor=4)
 
-    def explode(b: pa.Table) -> pa.Table:
-        # each doc's shingle set, hashed once (text never ships), goes to
-        # the G cells pairing its bucket with every other, (g, g) once
-        ids = b["doc_id"].to_numpy()
-        idx = np.repeat(np.arange(b.num_rows), G)
-        other = np.tile(np.arange(G), b.num_rows)
-        g = ids[idx] & (G - 1)
-        return pa.table(
-            {
-                "source": b["source"].take(idx),
-                "ca": pa.array(np.minimum(g, other), pa.int64()),
-                "cb": pa.array(np.maximum(g, other), pa.int64()),
-                "doc_id": pa.array(ids[idx], pa.int64()),
-                "sh": _shingle_lists(b["text"]).take(idx),
-            }
-        )
+    def prefixes(b: pa.Table) -> pa.Table:
+        return _prefix_rows(b["source"], b["doc_id"], _shingle_lists(b["text"]))
 
-    def cell_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates("doc_id").sort_values("doc_id")
-        ca, cb = int(g["ca"].iloc[0]), int(g["cb"].iloc[0])
-        ids = g["doc_id"].to_numpy()
-        bucket = ids & (G - 1)
-        shs = [set(x) for x in g["sh"]]
-        if ca == cb:
-            sel = np.nonzero(bucket == ca)[0]
-            return _jaccard_pairs_df(ids[sel], [shs[i] for i in sel], 0.35)
-        sa, sb = np.nonzero(bucket == ca)[0], np.nonzero(bucket == cb)[0]
-        return _jaccard_pairs_cross_df(
-            ids[sa], [shs[i] for i in sa],
-            ids[sb], [shs[i] for i in sb],
-            0.35,
-        )
-
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby(["source", "ca", "cb"])
-        .map_groups(cell_pairs, batch_format="pandas")
+    return bucket_groups(
+        ds.map_batches(prefixes, batch_format="pyarrow"),
+        "tok",
+        n_buckets(size_bytes=ds.size_bytes()),
+        _prefix_pairs,
+        {**PAIR, "jaccard": pa.float64()},
     )
 
 
@@ -530,11 +462,15 @@ COS_T = 0.45  # calibrated to this corpus (max off-diag cos ≈ 0.51)
 
 
 def emb_grid_buckets(n_vectors: int) -> int:
-    """Pair-block grid for embedding all-pairs: B grows with the corpus so
-    no cell side exceeds ~8k vectors (cell work is a (n/B)² matmul,
-    replication ×B). Shared by the pipeline and the sequential golden —
-    both derive B from the same row count, keeping BLAS shapes identical."""
-    return grid_buckets(n_vectors, target_side=8192, floor=8)
+    """Pair-block grid for embedding all-pairs: the smallest power of two
+    B ≥ 8 with no cell side over 8192 vectors (cell work is a (n/B)²
+    matmul, replication ×B). Shared by the pipeline and the sequential
+    golden — both derive B from the same row count, keeping BLAS shapes
+    identical."""
+    b = 8
+    while n_vectors / b > 8192:
+        b <<= 1
+    return b
 
 
 def _emb_pair_block(ids: np.ndarray, mat: np.ndarray, ga: int, gb: int, B: int):

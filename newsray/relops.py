@@ -227,15 +227,17 @@ def customers_per_region(sf_dir: str):
     nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_regionkey"])
     region = pq.read_table(f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"])
     reg_name = dict(zip(region["r_regionkey"].to_pylist(), region["r_name"].to_pylist()))
+    # inner joins: a row whose region or nation key is unknown drops out
     nat_to_region = {
         nk: reg_name[rk]
         for nk, rk in zip(nation["n_nationkey"].to_pylist(), nation["n_regionkey"].to_pylist())
+        if rk in reg_name
     }
     lookup_ref = ray.put(nat_to_region)
 
     def tag(b: pa.Table) -> pa.Table:
         lut = ray.get(lookup_ref)
-        names = [lut[k] for k in b["c_nationkey"].to_pylist()]
+        names = [lut[k] for k in b["c_nationkey"].to_pylist() if k in lut]
         return pa.Table.from_pydict({"r_name": pa.array(names, pa.string())})
 
     from ray.data.aggregate import Count
@@ -549,7 +551,9 @@ def supplier_balance_by_nation(sf_dir: str):
 
     def tag(b: pa.Table) -> pa.Table:
         lut = ray.get(lut_ref)
-        names = [lut[k] for k in b["s_nationkey"].to_pylist()]
+        keys = b["s_nationkey"].to_pylist()
+        b = b.filter(pa.array([k in lut for k in keys], pa.bool_()))  # inner join
+        names = [lut[k] for k in keys if k in lut]
         return pa.Table.from_pydict(
             {"n_name": pa.array(names, pa.string()), "s_acctbal": b["s_acctbal"]}
         )

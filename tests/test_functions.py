@@ -323,55 +323,62 @@ def test_canonicalize_batch_path_is_urlparse_path():
     assert valid == [False] * len(opaque)
 
 
-def test_jaccard_grid_decomposition_equals_all_pairs():
-    """The (cell_a, cell_b) doc-bucket grid used by ngram_jaccard_by_source
-    must own every unordered pair exactly once and reproduce the brute-force
-    all-pairs result on a duplicate-heavy corpus."""
-    import numpy as np
+def _prefix_join(sources, ids, shs, nb):
+    """ngram_jaccard_by_source's plan without Ray: `_prefix_rows` of
+    explicit shingle lists, split into ``nb`` token buckets as the
+    exchange splits them, `_prefix_pairs` on each bucket."""
+    import pyarrow as pa
 
-    from newsray.dedup_ops import (
-        _jaccard_pairs_cross_df,
-        _jaccard_pairs_df,
-        _shingles,
-    )
+    from newsray.dedup_ops import _prefix_pairs, _prefix_rows
+    from newsray.tabular import key_buckets
+
+    if not isinstance(shs, pa.ListArray):
+        shs = pa.array(shs, pa.list_(pa.int64()))
+    rows = _prefix_rows(pa.array(sources, pa.string()), pa.array(ids, pa.int64()), shs)
+    bucket = key_buckets([rows["tok"]], nb).to_numpy()
+    out = []
+    for k in range(nb):
+        part = rows.filter(pa.array(bucket == k))
+        if part.num_rows:
+            out += list(_prefix_pairs(part.to_pandas()).itertuples(index=False, name=None))
+    return out
+
+
+@pytest.mark.parametrize("nb", [1, 2, 8])
+def test_prefix_filter_jaccard_is_exact(nb):
+    """The prefix filter of ngram_jaccard_by_source finds every pair at
+    Jaccard ≥ 0.35 exactly once: at exactly the threshold (|r| = 7, s = r
+    plus 13 tokens sorting before r's, which a prefix one token short
+    misses), for a pair sharing many prefix tokens, and on a
+    duplicate-heavy corpus over three sources (one null) against brute
+    force per source."""
+    import numpy as np
+    import pyarrow as pa
+
+    from newsray.dedup_ops import _shingle_lists, _shingles
+
+    r = list(range(100, 107))
+    assert _prefix_join(["x", "x"], [1, 2], [r, list(range(1, 14)) + r], nb) == [(1, 2, 0.35)]
+    same = list(range(40))  # identical sets: all 27 prefix tokens shared
+    got = _prefix_join(["x", "x", "y"], [5, 3, 4], [same, same, same], nb)
+    assert got == [(3, 5, 1.0)]
 
     rng = np.random.default_rng(7)
-    base = [
-        " ".join(f"w{rng.integers(0, 30)}" for _ in range(25)) for _ in range(12)
-    ]
-    texts, ids = [], []
-    for i in range(40):  # heavy duplication: many texts share a base
-        t = base[i % len(base)]
-        if i % 3 == 0:
-            t = t + f" extra{i}"
-        texts.append(t)
-        ids.append(100 + i)
-    ids = np.asarray(ids, dtype=np.int64)
-    shs = [_shingles(t) for t in texts]
-
-    brute = _jaccard_pairs_df(ids, shs, 0.35)
-    want = set(zip(brute["doc_a"], brute["doc_b"], brute["jaccard"]))
-
-    G = 4
-    bucket = ids & (G - 1)
-    got = set()
-    for ca in range(G):
-        for cb in range(ca, G):
-            if ca == cb:
-                sel = np.nonzero(bucket == ca)[0]
-                df = _jaccard_pairs_df(ids[sel], [shs[i] for i in sel], 0.35)
-            else:
-                sa = np.nonzero(bucket == ca)[0]
-                sb = np.nonzero(bucket == cb)[0]
-                df = _jaccard_pairs_cross_df(
-                    ids[sa], [shs[i] for i in sa],
-                    ids[sb], [shs[i] for i in sb], 0.35,
-                )
-            cell = list(zip(df["doc_a"], df["doc_b"], df["jaccard"]))
-            assert not (set(cell) & got), "a pair was owned by two cells"
-            got.update(cell)
-    assert want, "corpus should contain near-dup pairs"
-    assert got == want
+    base = [" ".join(f"w{rng.integers(0, 30)}" for _ in range(25)) for _ in range(12)]
+    texts = [base[i % 12] + (f" extra{i}" if i % 3 == 0 else "") for i in range(40)]
+    ids = [100 + i for i in range(40)]
+    sources = [("a", "b", None)[i % 4 % 3] for i in range(40)]
+    want = []
+    for i in range(40):
+        for j in range(i + 1, 40):
+            if sources[i] == sources[j]:
+                x, y = _shingles(texts[i]), _shingles(texts[j])
+                jac = len(x & y) / len(x | y)
+                if jac >= 0.35:
+                    want.append((ids[i], ids[j], float(np.round(jac, 4))))
+    assert len(want) > 40 and set(sources) == {"a", "b", None}
+    got = _prefix_join(sources, ids, _shingle_lists(pa.array(texts)), nb)
+    assert sorted(got) == sorted(want)  # sorted lists: a pair found twice fails
 
 
 def _window_texts():

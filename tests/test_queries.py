@@ -244,7 +244,7 @@ def test_n_buckets_scales_with_data_size(ray_session):
     """VERDICT #3: bucket counts must grow with the DATA, not only the
     cluster — one bucket group must stay ~TARGET_GROUP_BYTES regardless of
     input scale on a fixed-size cluster."""
-    from newsray.dedup_ops import emb_grid_buckets, grid_buckets
+    from newsray.dedup_ops import emb_grid_buckets
     from newsray.tabular import TARGET_GROUP_BYTES, n_buckets
 
     small = n_buckets(size_bytes=1)
@@ -258,10 +258,7 @@ def test_n_buckets_scales_with_data_size(ray_session):
     cpus = int(ray.cluster_resources()["CPU"])
     want = next(1 << k for k in range(64) if 1 << k >= 2 * cpus)
     assert n_buckets() == n_buckets(size_bytes=None) == want
-    # pair grids: per-cell side capped at target_side
-    assert grid_buckets(100, target_side=20_000, floor=4) == 4
-    g = grid_buckets(10_000_000, target_side=20_000, floor=4)
-    assert 10_000_000 / g <= 20_000 and g & (g - 1) == 0
+    # the embedding pair grid: per-cell side capped at 8192
     assert emb_grid_buckets(1_000) == 8  # small corpora keep the floor
     assert emb_grid_buckets(1 << 20) > 8
     # split_contamination's gram partition (VERDICT r3 #2: was a fixed 256)
@@ -501,12 +498,14 @@ ray.init(address="local", num_cpus=int(sys.argv[1]), include_dashboard=False,
          logging_level="ERROR")
 ray.data.DataContext.get_current().enable_progress_bars = False
 from newsray import ragprep
+from newsray.dedup_ops import ngram_jaccard_by_source
 from newsray.golden import GOLDENS
 from newsray.multimodal import media_features, video_frame_sample
 
 sf = sys.argv[2]
 ragprep.CHUNK_INDEX_ROOT = sys.argv[3]  # empty: the chunk index is built cold
-for fn in (media_features, video_frame_sample, ragprep.chunk_embed_index):
+for fn in (media_features, video_frame_sample, ragprep.chunk_embed_index,
+           ngram_jaccard_by_source):
     got = pa.concat_tables(b for b in ray.get(fn(sf).to_arrow_refs()) if b.num_columns)
     want = GOLDENS[fn.__name__](sf)
     order = [(c, "ascending") for c in want.column_names]
@@ -518,12 +517,14 @@ ray.shutdown()
 
 @pytest.mark.parametrize("num_cpus", [1, 2])
 def test_media_actor_pools_finish_at_one_and_two_cpus(num_cpus, tmp_path):
-    """The three actor-pool queries finish, equal to their golden
-    recompute, in a session of one or two CPUs: their pools must not hold
-    the CPUs the read feeding them needs (the media pools hung before at 1
-    and 2 CPUs, and the chunk index's embedder pool at 2). The chunk index
-    is built cold in a fresh root. A fresh process owns the small session;
-    the timeout is the deadline."""
+    """The three actor-pool queries and ngram_jaccard_by_source finish,
+    equal to their golden recompute, in a session of one or two CPUs: the
+    pools must not hold the CPUs the read feeding them needs (the media
+    pools hung before at 1 and 2 CPUs, and the chunk index's embedder pool
+    at 2), and the n-gram query's one exchange has no union feeding it (a
+    union-into-`bucket_join` plan hangs at 1 CPU, ROADMAP item 2). The
+    chunk index is built cold in a fresh root. A fresh process owns the
+    small session; the timeout is the deadline."""
     import os
     import subprocess
     import sys
@@ -539,11 +540,13 @@ def test_media_actor_pools_finish_at_one_and_two_cpus(num_cpus, tmp_path):
         env={**os.environ, "PYTHONPATH": root},
     )
     assert r.returncode == 0, r.stderr[-2000:]
-    got = [ln.split() for ln in r.stdout.splitlines() if ln.startswith(("media", "video", "chunk"))]
+    names = ("media", "video", "chunk", "ngram")
+    got = [ln.split() for ln in r.stdout.splitlines() if ln.startswith(names)]
     assert [(name, ok) for name, _, ok in got] == [
         ("media_features", "True"),
         ("video_frame_sample", "True"),
         ("chunk_embed_index", "True"),
+        ("ngram_jaccard_by_source", "True"),
     ], r.stdout
 
 
@@ -724,6 +727,34 @@ def test_deterministic_shuffle_negative_ids(ray_session, tmp_path):
     )
     want = _normalize(con.execute(ORACLE_SQL["deterministic_shuffle"]).df())
     pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
+
+
+def test_broadcast_lookups_drop_unknown_keys(ray_session, tmp_path):
+    """The broadcast dimension lookups of customers_per_region and
+    supplier_balance_by_nation drop a row whose key the dimension lacks,
+    as the SQL inner join does: one customer and one supplier carry a
+    nation key absent from `nation`, and one nation a region key absent
+    from `region`."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from newsray.registry import ORACLE_SQL
+    from newsray.relops import customers_per_region, supplier_balance_by_nation
+
+    bad = {"customer": "c_nationkey", "supplier": "s_nationkey", "nation": "n_regionkey"}
+    con = duckdb.connect()
+    for t in ("region", "nation", "customer", "supplier"):
+        table = pq.read_table(f"{SF}/{t}.parquet")
+        if t in bad:  # the first row points at a key no dimension row holds
+            col = table[bad[t]]
+            keys = pc.if_else(pa.array([True] + [False] * (len(col) - 1)), 99, col)
+            table = table.set_column(table.schema.get_field_index(bad[t]), bad[t], keys)
+        pq.write_table(table, tmp_path / f"{t}.parquet")
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{tmp_path}/{t}.parquet')")
+    for fn in (customers_per_region, supplier_balance_by_nation):
+        got = _normalize(_to_pandas(fn(str(tmp_path))))
+        want = _normalize(con.execute(ORACLE_SQL[fn.__name__]).df())
+        pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
 
 
 def test_postings_lookup_reads_only_term_partitions(ray_session):
